@@ -24,7 +24,7 @@ from .groupgen import (
     order_spectrum,
     recognize,
 )
-from .mat3 import UNBOUNDED, Mat3, mat_det, mat_mul, mat_order
+from .mat3 import UNBOUNDED, Mat3
 from .regmap import (
     DartModel,
     RegularMapReport,
@@ -86,9 +86,6 @@ __all__ = [
     "make_rhos",
     "make_sigmas",
     "maps_equivalent",
-    "mat_det",
-    "mat_mul",
-    "mat_order",
     "order_spectrum",
     "platonic_params",
     "recognize",

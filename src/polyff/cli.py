@@ -180,7 +180,12 @@ def cmd_grid(args) -> int:
 
 
 def _scan_row(ring: Ring, x, y, cap: int, want_model: bool):
-    """One scan cell: returns (row dict, dart model or None)."""
+    """One scan cell: returns (row dict, dart model or None).
+
+    When the closure passes ``cap``, the row has ``cap_exceeded`` true and
+    ``group_order`` holds the partial count: the number of elements found
+    when the closure stopped, not the order of the group.
+    """
     params = PolyhedronParams(x, y)
     try:
         group, report = run_pipeline(params, cap=cap)

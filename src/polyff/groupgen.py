@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CapExceeded, MixedRings, NonInvertibleGenerator
+from .errors import CapExceeded, InvariantViolation, MixedRings, NonInvertibleGenerator
 from .mat3 import Mat3
 from .rings import Ring
 
@@ -46,17 +46,23 @@ class GeneratedGroup:
     ``elements[0]`` is always the identity.  ``cayley`` (when retained) maps
     element index i and generator index g to the index of elements[i] *
     gens[g]; it is dropped for groups larger than ``cayley_bound`` to bound
-    memory.  Instances are immutable after construction.
+    memory.  ``index`` maps each element's entries to its position in
+    ``elements``; ``generate`` passes the dict it built during the closure,
+    and it is built here only when omitted.  Instances are immutable after
+    construction.
     """
 
     def __init__(self, ring: Ring, elements: list[Mat3],
                  generators: list[tuple[str, Mat3]],
-                 cayley: list[tuple[int, ...]] | None):
+                 cayley: list[tuple[int, ...]] | None,
+                 index: dict[tuple, int] | None = None):
         self.ring = ring
         self.elements = elements
         self.generators = generators
         self.cayley = cayley
-        self._index = {m.vals: i for i, m in enumerate(elements)}
+        if index is None:
+            index = {m.vals: i for i, m in enumerate(elements)}
+        self._index = index
 
     @property
     def order(self) -> int:
@@ -122,24 +128,71 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
         i += 1
     if cayley is not None and len(cayley) != len(elements):
         cayley = None
-    return GeneratedGroup(ring, elements, list(zip(labels, gens)), cayley)
+    return GeneratedGroup(ring, elements, list(zip(labels, gens)), cayley, index)
+
+
+def _cyclic_walk(G: GeneratedGroup, i: int) -> list[int]:
+    """Indices of a, a^2, ..., a^n = identity for a = elements[i].
+
+    Raises InvariantViolation when a power is not in the group or the walk
+    passes |G| steps without reaching index 0 (so ``elements[0]`` is not the
+    identity, or the element list is not closed).
+    """
+    a = G.elements[i]
+    index = G._index
+    limit = G.order
+    walk = [i]
+    power = a
+    while walk[-1] != 0:
+        if len(walk) >= limit:
+            raise InvariantViolation(
+                f"powers of element {i} do not reach the identity within |G| = {limit} steps")
+        power = power * a
+        j = index.get(power.vals)
+        if j is None:
+            raise InvariantViolation(
+                f"power {len(walk) + 1} of element {i} is not in the group")
+        walk.append(j)
+    return walk
 
 
 def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     """Element-order multiset plus abelian flag and center size.
 
+    Orders come from one walk per cyclic subgroup (Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, section 3.1): for each element
+    a whose order is still unknown, its powers a, a^2, ... are looked up in
+    the element index until the identity (index 0) comes back after n steps;
+    then a^k has order n / gcd(k, n), so every power gets its order from the
+    one walk.  The generators were checked invertible by ``generate``, so no
+    determinant is taken.  A power missing from the index, or a walk longer
+    than |G|, raises InvariantViolation.
+
     The abelian flag tests generator pairs only (generators commuting
     pairwise forces the whole group abelian); the center is the set of
-    elements commuting with every generator.
+    elements commuting with every generator.  When the Cayley table is
+    kept, z*g is read from it and each test costs the one product g*z.
     """
-    counts: Counter[int] = Counter()
-    cap = max(G.order, 1)
-    for m in G.elements:
-        counts[m.order(cap)] += 1
+    n_elems = G.order
+    orders = [0] * n_elems
+    for i in range(n_elems):
+        if orders[i]:
+            continue
+        walk = _cyclic_walk(G, i)
+        n = len(walk)
+        for k, j in enumerate(walk, 1):
+            orders[j] = n // math.gcd(k, n)
+    counts = Counter(orders)
+
     gens = [g for _, g in G.generators]
     abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
-    center = sum(1 for z in G.elements if all(z * g == g * z for g in gens))
-    return GroupFingerprint(G.order, tuple(sorted(counts.items())), abelian, center)
+    elements = G.elements
+    if G.cayley is not None:
+        center = sum(1 for z, row in zip(elements, G.cayley)
+                     if all(elements[j].vals == (g * z).vals for j, g in zip(row, gens)))
+    else:
+        center = sum(1 for z in elements if all(z * g == g * z for g in gens))
+    return GroupFingerprint(n_elems, tuple(sorted(counts.items())), abelian, center)
 
 
 # ---------------------------------------------------------------------------

@@ -179,17 +179,3 @@ class Mat3:
     def __repr__(self) -> str:
         return f"Mat3({self.ring}, {self.to_text()!r})"
 
-
-def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    """Matrix product (same as ``a * b``)."""
-    return a * b
-
-
-def mat_det(a: Mat3) -> RingElem:
-    """Determinant (same as ``a.det()``)."""
-    return a.det()
-
-
-def mat_order(a: Mat3, cap: int = ORDER_CAP_DEFAULT):
-    """Multiplicative order (same as ``a.order(cap)``)."""
-    return a.order(cap)

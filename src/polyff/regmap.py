@@ -248,9 +248,15 @@ def dart_model(G: GeneratedGroup,
 def maps_equivalent(a: DartModel, b: DartModel) -> bool:
     """Whether some dart bijection conjugates a's permutations to b's.
 
-    The action is regular, so a candidate bijection is determined by the
-    image of dart 0; each candidate is extended along the action and
-    rejected at the first inconsistency.
+    The action is assumed regular (transitive with trivial dart
+    stabilizers), as for every model ``dart_model`` builds.  Only the
+    candidate that fixes dart 0 is tried: it is extended along the action
+    and rejected at the first inconsistency, so a call costs O(n).  One
+    candidate decides the question because the centralizer of a regular
+    permutation group is transitive (it is the regular action from the
+    other side).  If some bijection psi conjugates a to b, with
+    psi(0) = d, then c * psi also does for every c centralizing b's
+    permutations, and one such c maps d back to 0.
     """
     if a.degree > EQUIVALENCE_DEGREE_BOUND or b.degree > EQUIVALENCE_DEGREE_BOUND:
         raise DegreeTooLarge(
@@ -262,27 +268,23 @@ def maps_equivalent(a: DartModel, b: DartModel) -> bool:
     if any(_cycle_type(x) != _cycle_type(y) for x, y in zip(pa, pb)):
         return False
     n = a.degree
-    for image in range(n):
-        phi = [-1] * n
-        phi[0] = image
-        used = [False] * n
-        used[image] = True
-        stack = [0]
-        ok = True
-        while stack and ok:
-            s = stack.pop()
-            for qa, qb in zip(pa, pb):
-                ta, tb = qa[s], qb[phi[s]]
-                if phi[ta] == -1:
-                    if used[tb]:
-                        ok = False
-                        break
-                    phi[ta] = tb
-                    used[tb] = True
-                    stack.append(ta)
-                elif phi[ta] != tb:
-                    ok = False
-                    break
-        if ok and all(v >= 0 for v in phi):
-            return True
-    return False
+    if n == 0:
+        return False  # no dart 0 to anchor a candidate on
+    phi = [-1] * n
+    phi[0] = 0
+    used = [False] * n
+    used[0] = True
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        for qa, qb in zip(pa, pb):
+            ta, tb = qa[s], qb[phi[s]]
+            if phi[ta] == -1:
+                if used[tb]:
+                    return False
+                phi[ta] = tb
+                used[tb] = True
+                stack.append(ta)
+            elif phi[ta] != tb:
+                return False
+    return all(v >= 0 for v in phi)

@@ -6,6 +6,14 @@ Nothing here imports the package under test.  Two oracles:
   permutation and taking cycle-length lcms);
 * a standalone matrix-closure enumerator over Z/nZ using plain integer
   tuples, with the rotation formulas written out independently.
+
+Two reference implementations, kept as the slow, direct algorithms that
+the package's faster ones are compared against (they take the package's
+objects as arguments but import nothing from it):
+
+* the order spectrum by each element's own ``order()`` and the center by
+  two products per test;
+* map equivalence by trying every image of dart 0.
 """
 
 from __future__ import annotations
@@ -123,3 +131,55 @@ def run_map_oracle(x: int, y: int, n: int) -> dict:
         assert doubled % 2 == 0
         out.update(V=V, E=E, F=F, genus=doubled // 2)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+def reference_fingerprint(group) -> tuple:
+    """(order, spectrum, abelian, center size) of a generated group.
+
+    Every element's order is found by repeated multiplication, and every
+    center test computes both z*g and g*z.
+    """
+    cap = max(group.order, 1)
+    counts = Counter(m.order(cap) for m in group.elements)
+    gens = [g for _, g in group.generators]
+    abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
+    center = sum(1 for z in group.elements if all(z * g == g * z for g in gens))
+    return group.order, tuple(sorted(counts.items())), abelian, center
+
+
+def reference_equivalent(pa, pb) -> bool:
+    """Whether some bijection conjugates permutation triple pa to pb.
+
+    Tries every image of dart 0, extending each candidate along the action
+    until it is complete or inconsistent; O(n^2) in the degree.
+    """
+    n = len(pa[0])
+    if n != len(pb[0]):
+        return False
+    for image in range(n):
+        phi = [-1] * n
+        phi[0] = image
+        used = [False] * n
+        used[image] = True
+        stack = [0]
+        ok = True
+        while stack and ok:
+            s = stack.pop()
+            for qa, qb in zip(pa, pb):
+                ta, tb = qa[s], qb[phi[s]]
+                if phi[ta] == -1:
+                    if used[tb]:
+                        ok = False
+                        break
+                    phi[ta] = tb
+                    used[tb] = True
+                    stack.append(ta)
+                elif phi[ta] != tb:
+                    ok = False
+                    break
+        if ok and all(v >= 0 for v in phi):
+            return True
+    return False

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from polyff.errors import CapExceeded, NonInvertibleGenerator
+from polyff.errors import CapExceeded, InvariantViolation, NonInvertibleGenerator
 from polyff.groupgen import (
     RECOGNITION_TABLE,
+    GeneratedGroup,
     GroupFingerprint,
     cyclic_spectrum,
     dihedral_spectrum,
@@ -18,7 +19,14 @@ from polyff.mat3 import Mat3
 from polyff.rings import GaloisField, ZMod, ring_make
 from polyff.universal import PolyhedronParams, make_rhos
 
-from oracles import alternating_spectrum, closure_mod, closure_spectrum, rotations_mod, symmetric_spectrum
+from oracles import (
+    alternating_spectrum,
+    closure_mod,
+    closure_spectrum,
+    reference_fingerprint,
+    rotations_mod,
+    symmetric_spectrum,
+)
 
 
 def _rotation_group(spec, x, y, **kw):
@@ -134,6 +142,38 @@ def test_spectrum_matches_oracle_spectrum():
     oracle = closure_spectrum(closure_mod(list(gens), 4), 4)
     fp = order_spectrum(_rotation_group("zmod:4", 0, -1))
     assert fp.spectrum == oracle
+
+
+@pytest.mark.parametrize("spec", ["gf:3", "gf:2^2", "zmod:6"])
+@pytest.mark.parametrize("cayley_bound", [10_000, 0], ids=["table", "no_table"])
+def test_spectrum_matches_per_element_reference(spec, cayley_bound):
+    # zmod:6 is not a field and gives degenerate groups
+    ring = ring_make(spec)
+    for x in ring.elements():
+        for y in ring.elements():
+            group = _rotation_group(spec, x, y, cayley_bound=cayley_bound)
+            assert (group.cayley is not None) == (cayley_bound > 0)
+            fp = order_spectrum(group)
+            assert (fp.order, fp.spectrum, fp.abelian, fp.center_size) \
+                == reference_fingerprint(group), (spec, x, y)
+
+
+def test_spectrum_rejects_missing_power():
+    group = _rotation_group("gf:5", 0, 0)
+    drop = next(i for i, m in enumerate(group.elements) if m.order(24) >= 3)
+    elements = group.elements[:drop] + group.elements[drop + 1:]
+    broken = GeneratedGroup(group.ring, elements, group.generators, None)
+    with pytest.raises(InvariantViolation):
+        order_spectrum(broken)
+
+
+def test_spectrum_rejects_walk_longer_than_group():
+    group = _rotation_group("gf:5", 0, 0)
+    ident, g = group.elements[0], group.elements[1]
+    # index 0 is not the identity, so no walk can come back to it
+    broken = GeneratedGroup(group.ring, [g, ident], group.generators, None)
+    with pytest.raises(InvariantViolation):
+        order_spectrum(broken)
 
 
 def test_determinism_of_generation():

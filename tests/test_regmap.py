@@ -24,7 +24,7 @@ from polyff.regmap import (
 from polyff.rings import ring_make
 from polyff.universal import PolyhedronParams, make_rhos
 
-from oracles import run_map_oracle
+from oracles import reference_equivalent, run_map_oracle
 
 
 def _run(spec, x, y, **kw):
@@ -204,6 +204,36 @@ def test_equivalent_maps_have_equal_fingerprints():
     gb, _ = _run("gf:7", 0, 0)
     if maps_equivalent(dart_model(ga), dart_model(gb)):
         assert order_spectrum(ga) == order_spectrum(gb)
+
+
+# in zmod:6 some same-fingerprint pairs pass the cycle-type precheck and
+# are told apart only by the search itself
+@pytest.mark.parametrize("spec", ["zmod:5", "zmod:6"])
+def test_one_candidate_agrees_with_reference_search(spec):
+    ring = ring_make(spec)
+    by_fingerprint = {}
+    for x in ring.elements():
+        for y in ring.elements():
+            group, report = _run(spec, x, y)
+            by_fingerprint.setdefault(report.fingerprint, []).append(dart_model(group))
+    outcomes = set()
+    for models in by_fingerprint.values():
+        for a in models:
+            for b in models:
+                expected = reference_equivalent(a.perms(), b.perms())
+                assert maps_equivalent(a, b) == expected
+                assert maps_equivalent(b, a) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_intransitive_model_not_equivalent_to_regular_one():
+    # equal cycle types, but b's darts split into orbits {0, 1} and {2, 3}
+    a = DartModel(4, (1, 0, 3, 2), (2, 3, 0, 1), (0, 1, 2, 3))
+    b = DartModel(4, (1, 0, 3, 2), (1, 0, 3, 2), (0, 1, 2, 3))
+    assert not reference_equivalent(a.perms(), b.perms())
+    assert not maps_equivalent(a, b)
+    assert not maps_equivalent(b, a)
 
 
 def test_degree_bound_enforced():
