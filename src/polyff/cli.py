@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -24,7 +25,7 @@ from .errors import (
     PolyffError,
     UnsupportedRing,
 )
-from .groupgen import CAYLEY_RETENTION_BOUND, CLOSURE_CAP_DEFAULT, GeneratedGroup, generate
+from .groupgen import CLOSURE_CAP_DEFAULT, GeneratedGroup, generate
 from .regmap import ROTATION_LABELS, RegularMapReport, analyze, dart_model, maps_equivalent
 from .rings import Ring, ZMod, ring_make
 from .universal import GeneratorSet, PolyhedronParams, survey_relations
@@ -36,13 +37,11 @@ SCAN_COLUMNS = ("x", "y", "group_order", "p", "q", "genus",
                 "degenerate", "fingerprint", "recognized")
 
 
-def run_pipeline(params: PolyhedronParams, cap: int = CLOSURE_CAP_DEFAULT,
-                 cayley_bound: int = CAYLEY_RETENTION_BOUND,
-                 ) -> tuple[GeneratedGroup, RegularMapReport]:
+def run_pipeline(params: PolyhedronParams,
+                 cap: int = CLOSURE_CAP_DEFAULT) -> tuple[GeneratedGroup, RegularMapReport]:
     """Generators -> closure -> map report, for one parameter pair."""
     gens = GeneratorSet.from_params(params)
-    group = generate([gens.rho_v, gens.rho_e, gens.rho_f], cap=cap,
-                     labels=ROTATION_LABELS, cayley_bound=cayley_bound)
+    group = generate([gens.rho_v, gens.rho_e, gens.rho_f], cap=cap, labels=ROTATION_LABELS)
     return group, analyze(group)
 
 
@@ -113,7 +112,7 @@ def _csv_values(d: dict) -> list[str]:
 
 
 def _attach_darts(d: dict, args, group: GeneratedGroup) -> None:
-    if getattr(args, "darts", False) and group.cayley is not None:
+    if getattr(args, "darts", False):
         d["darts"] = dart_model(group).to_text()
 
 
@@ -203,10 +202,7 @@ def _scan_row(ring: Ring, x, y, cap: int, want_model: bool):
            "degenerate": report.degenerate,
            "fingerprint": report.fingerprint.serialize(),
            "recognized": report.recognized, "cap_exceeded": False}
-    model = None
-    if want_model and group.cayley is not None:
-        model = dart_model(group)
-    return row, model
+    return row, dart_model(group) if want_model else None
 
 
 def _scan_classes(rows, models, exact: bool):
@@ -339,7 +335,9 @@ def _add_common(sub, ring=True, cap=True, fmt="json", darts=False):
                          help="include dart permutations in the report")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="polyff",
         description="Regular polyhedra and regular maps over finite rings.")

@@ -84,14 +84,6 @@ class NonIntegralGenus(PolyffError):
     """The (p, q, E) triple does not give an integer genus."""
 
 
-class CayleyNotRetained(PolyffError):
-    """Dart permutations need Cayley edges, which were dropped (group too large)."""
-
-
-class DegreeTooLarge(PolyffError):
-    """Dart-model comparison refused above the degree bound."""
-
-
 class InvariantViolation(PolyffError):
     """Internal consistency check failed; indicates a bug, not a user error."""
 

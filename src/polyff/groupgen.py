@@ -22,7 +22,6 @@ from .mat3 import Mat3
 from .rings import Ring
 
 CLOSURE_CAP_DEFAULT = 10**6
-CAYLEY_RETENTION_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -43,18 +42,17 @@ class GroupFingerprint:
 class GeneratedGroup:
     """The closure of a generator list: elements, labels, and Cayley edges.
 
-    ``elements[0]`` is always the identity.  ``cayley`` (when retained) maps
-    element index i and generator index g to the index of elements[i] *
-    gens[g]; it is dropped for groups larger than ``cayley_bound`` to bound
-    memory.  ``index`` maps each element's entries to its position in
-    ``elements``; ``generate`` passes the dict it built during the closure,
-    and it is built here only when omitted.  Instances are immutable after
-    construction.
+    ``elements[0]`` is always the identity.  ``cayley`` holds one column of
+    element indices per generator: ``cayley[g][i]`` is the index of
+    ``elements[i] * gens[g]``.  ``index`` maps each element's entries to its
+    position in ``elements``; ``generate`` passes the dict it built during
+    the closure, and it is built here only when omitted.  Instances are
+    immutable after construction.
     """
 
     def __init__(self, ring: Ring, elements: list[Mat3],
                  generators: list[tuple[str, Mat3]],
-                 cayley: list[tuple[int, ...]] | None,
+                 cayley: list[list[int]],
                  index: dict[tuple, int] | None = None):
         self.ring = ring
         self.elements = elements
@@ -82,11 +80,12 @@ class GeneratedGroup:
 
 
 def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
-             labels: Sequence[str] | None = None,
-             cayley_bound: int = CAYLEY_RETENTION_BOUND) -> GeneratedGroup:
+             labels: Sequence[str] | None = None) -> GeneratedGroup:
     """Breadth-first closure of the generators under right multiplication.
 
     Deterministic: the element order depends only on the generator list.
+    Every edge i -> elements[i] * gens[g] is recorded in the Cayley table,
+    one int per edge, for every group size.
     Raises CapExceeded (with the partial count) if the closure passes
     ``cap`` elements.
     """
@@ -106,12 +105,11 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
     ident = Mat3.identity(ring)
     elements = [ident]
     index = {ident.vals: 0}
-    cayley: list[tuple[int, ...]] | None = []
+    cayley: list[list[int]] = [[] for _ in gens]
     i = 0
     while i < len(elements):
         a = elements[i]
-        row = []
-        for g in gens:
+        for g, column in zip(gens, cayley):
             b = a * g
             j = index.get(b.vals)
             if j is None:
@@ -120,14 +118,8 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
                     raise CapExceeded(partial_count=len(elements), cap=cap)
                 index[b.vals] = j
                 elements.append(b)
-            row.append(j)
-        if cayley is not None:
-            cayley.append(tuple(row))
-            if len(elements) > cayley_bound:
-                cayley = None  # too large: stop recording edges
+            column.append(j)
         i += 1
-    if cayley is not None and len(cayley) != len(elements):
-        cayley = None
     return GeneratedGroup(ring, elements, list(zip(labels, gens)), cayley, index)
 
 
@@ -170,8 +162,8 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
 
     The abelian flag tests generator pairs only (generators commuting
     pairwise forces the whole group abelian); the center is the set of
-    elements commuting with every generator.  When the Cayley table is
-    kept, z*g is read from it and each test costs the one product g*z.
+    elements commuting with every generator; z*g is read from the Cayley
+    table, so each test costs the one product g*z.
     """
     n_elems = G.order
     orders = [0] * n_elems
@@ -187,11 +179,8 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     gens = [g for _, g in G.generators]
     abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
     elements = G.elements
-    if G.cayley is not None:
-        center = sum(1 for z, row in zip(elements, G.cayley)
-                     if all(elements[j].vals == (g * z).vals for j, g in zip(row, gens)))
-    else:
-        center = sum(1 for z in elements if all(z * g == g * z for g in gens))
+    center = sum(1 for z, *row in zip(elements, *G.cayley)
+                 if all(elements[j].vals == (g * z).vals for j, g in zip(row, gens)))
     return GroupFingerprint(n_elems, tuple(sorted(counts.items())), abelian, center)
 
 

@@ -25,17 +25,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CayleyNotRetained,
-    DegreeTooLarge,
-    InvariantViolation,
-    MissingLabel,
-    NonIntegralGenus,
-)
+from .errors import InvariantViolation, MissingLabel, NonIntegralGenus
 from .groupgen import GeneratedGroup, GroupFingerprint, order_spectrum, recognize
 
 ROTATION_LABELS = ("rho_v", "rho_e", "rho_f")
-EQUIVALENCE_DEGREE_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -216,20 +209,18 @@ def dart_model(G: GeneratedGroup,
                labels: tuple[str, str, str] = ROTATION_LABELS) -> DartModel:
     """Dart permutations by right multiplication on the element order.
 
-    Requires Cayley edges (groups within the retention bound).  The model
-    invariants are checked before returning; a failure there is a bug trap,
-    not a user error.
+    Each permutation is the Cayley-table column of its rotation, so every
+    group ``generate`` builds has a dart model.  The model invariants are
+    checked before returning; a failure there is a bug trap, not a user
+    error.
     """
-    if G.cayley is None:
-        raise CayleyNotRetained(
-            f"Cayley edges not retained for group of order {G.order}")
     gen_labels = [name for name, _ in G.generators]
     perms = []
     for label in labels:
         if label not in gen_labels:
             raise MissingLabel(f"group has no generator labeled {label!r}")
         col = gen_labels.index(label)
-        perms.append(tuple(row[col] for row in G.cayley))
+        perms.append(tuple(G.cayley[col]))
     model = DartModel(G.order, *perms)
 
     pv, pe, pf = model.perms()
@@ -258,9 +249,6 @@ def maps_equivalent(a: DartModel, b: DartModel) -> bool:
     psi(0) = d, then c * psi also does for every c centralizing b's
     permutations, and one such c maps d back to 0.
     """
-    if a.degree > EQUIVALENCE_DEGREE_BOUND or b.degree > EQUIVALENCE_DEGREE_BOUND:
-        raise DegreeTooLarge(
-            f"equivalence search capped at degree {EQUIVALENCE_DEGREE_BOUND}")
     if a.degree != b.degree:
         return False
     pa = a.perms()

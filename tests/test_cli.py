@@ -7,6 +7,7 @@ import json
 import pytest
 
 from polyff.cli import main
+from polyff.regmap import DartModel
 
 REPORT_FIELDS = ["schema", "ring", "x", "y", "group_order", "p", "q", "e_order",
                  "V", "E", "F", "genus", "euler", "degenerate", "degeneracy_reason",
@@ -86,6 +87,19 @@ def test_darts_flag(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["darts"].startswith("darts 6\n")
+
+
+def test_darts_above_former_retention_bound(capsys):
+    code, out, _ = run(capsys, "analyze", "--ring", "zmod:29", "--x", "2", "--y", "3",
+                       "--darts")
+    assert code == 0
+    report = json.loads(out)
+    assert report["group_order"] == 24360
+    text = report["darts"]
+    assert text.startswith("darts 24360\n")
+    model = DartModel.from_text(text)
+    assert model.degree == 24360
+    assert model.to_text() == text
 
 
 def test_grid_square_n3(capsys):
@@ -173,6 +187,22 @@ def test_scan_exact_dedupe(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all("class" in c for c in payload["classes"])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_scan_zmod_and_gf_prime_field_agree(capsys, p):
+    # Z/pZ and GF(p) are the same field on two ring implementations
+    payloads = []
+    for spec in (f"zmod:{p}", f"gf:{p}"):
+        code, out, _ = run(capsys, "scan", "--ring", spec, "--format", "json")
+        assert code == 0
+        payloads.append(json.loads(out))
+    zmod, gf = payloads
+    assert (zmod["ring"], gf["ring"]) == (f"zmod:{p}", f"gf:{p}")
+    assert len(zmod["rows"]) == p * p
+    for a, b in zip(zmod["rows"], gf["rows"], strict=True):
+        assert a == b, (a["x"], a["y"])
+    assert zmod["classes"] == gf["classes"]
 
 
 def test_scan_rejects_modulus_one(capsys):

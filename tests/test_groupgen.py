@@ -124,9 +124,11 @@ def test_closure_idempotent():
 def test_closure_is_closed_and_contains_identity():
     group = _rotation_group("zmod:4", 0, -1)
     assert Mat3.identity(group.ring) in group
-    for m in group.elements:
-        for _, g in group.generators:
+    assert [len(column) for column in group.cayley] == [group.order] * 3
+    for i, m in enumerate(group.elements):
+        for column, (_, g) in zip(group.cayley, group.generators):
             assert m * g in group
+            assert group.elements[column[i]] == m * g
 
 
 def test_closure_matches_oracle_elements():
@@ -144,15 +146,13 @@ def test_spectrum_matches_oracle_spectrum():
     assert fp.spectrum == oracle
 
 
-@pytest.mark.parametrize("spec", ["gf:3", "gf:2^2", "zmod:6"])
-@pytest.mark.parametrize("cayley_bound", [10_000, 0], ids=["table", "no_table"])
-def test_spectrum_matches_per_element_reference(spec, cayley_bound):
+@pytest.mark.parametrize("spec", ["gf:3", "gf:2^2", "zmod:6"], ids=lambda spec: f"table-{spec}")
+def test_spectrum_matches_per_element_reference(spec):
     # zmod:6 is not a field and gives degenerate groups
     ring = ring_make(spec)
     for x in ring.elements():
         for y in ring.elements():
-            group = _rotation_group(spec, x, y, cayley_bound=cayley_bound)
-            assert (group.cayley is not None) == (cayley_bound > 0)
+            group = _rotation_group(spec, x, y)
             fp = order_spectrum(group)
             assert (fp.order, fp.spectrum, fp.abelian, fp.center_size) \
                 == reference_fingerprint(group), (spec, x, y)
@@ -162,7 +162,8 @@ def test_spectrum_rejects_missing_power():
     group = _rotation_group("gf:5", 0, 0)
     drop = next(i for i, m in enumerate(group.elements) if m.order(24) >= 3)
     elements = group.elements[:drop] + group.elements[drop + 1:]
-    broken = GeneratedGroup(group.ring, elements, group.generators, None)
+    # the intact table: the walk fails before the center test reads it
+    broken = GeneratedGroup(group.ring, elements, group.generators, group.cayley)
     with pytest.raises(InvariantViolation):
         order_spectrum(broken)
 
@@ -171,7 +172,7 @@ def test_spectrum_rejects_walk_longer_than_group():
     group = _rotation_group("gf:5", 0, 0)
     ident, g = group.elements[0], group.elements[1]
     # index 0 is not the identity, so no walk can come back to it
-    broken = GeneratedGroup(group.ring, [g, ident], group.generators, None)
+    broken = GeneratedGroup(group.ring, [g, ident], group.generators, group.cayley)
     with pytest.raises(InvariantViolation):
         order_spectrum(broken)
 
@@ -194,13 +195,6 @@ def test_non_invertible_generator_rejected():
     bad = Mat3(ZMod(4), [2, 0, 0, 0, 1, 0, 0, 0, 1])
     with pytest.raises(NonInvertibleGenerator):
         generate([bad])
-
-
-def test_cayley_retention_bound():
-    small = _rotation_group("gf:2", 0, 0, cayley_bound=3)
-    assert small.cayley is None
-    kept = _rotation_group("gf:2", 0, 0)
-    assert kept.cayley is not None and len(kept.cayley) == kept.order
 
 
 def test_fingerprint_serialization():

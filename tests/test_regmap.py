@@ -6,12 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyff.errors import (
-    CayleyNotRetained,
-    DegreeTooLarge,
-    MissingLabel,
-    NonIntegralGenus,
-)
+from polyff.errors import MissingLabel, NonIntegralGenus
 from polyff.groupgen import generate
 from polyff.regmap import (
     DartModel,
@@ -159,12 +154,6 @@ def test_square_tiling_z4_dart_involution():
     assert all(pe[pe[i]] == i and pe[i] != i for i in range(16))
 
 
-def test_dart_model_requires_cayley():
-    group, _ = _run("gf:2", 0, 0, cayley_bound=2)
-    with pytest.raises(CayleyNotRetained):
-        dart_model(group)
-
-
 def test_dart_export_round_trip():
     for spec, x, y in (("gf:2", 0, 0), ("zmod:4", 0, -1), ("gf:5", 0, 0)):
         group, _ = _run(spec, x, y)
@@ -236,7 +225,18 @@ def test_intransitive_model_not_equivalent_to_regular_one():
     assert not maps_equivalent(b, a)
 
 
-def test_degree_bound_enforced():
-    big = DartModel(10_001, tuple(range(10_001)), tuple(range(10_001)), tuple(range(10_001)))
-    with pytest.raises(DegreeTooLarge):
-        maps_equivalent(big, big)
+def _shift(n, k):
+    return tuple((i + k) % n for i in range(n))
+
+
+def test_equivalence_verdicts_above_former_degree_bound():
+    # the regular action of C_n, and a triple with the same cycle types
+    # (two n-cycles, n odd) that no bijection conjugates to it
+    n = 10_001
+    cyclic = DartModel(n, _shift(n, 1), _shift(n, 0), _shift(n, -1))
+    other = DartModel(n, _shift(n, 1), _shift(n, 0), _shift(n, 2))
+    assert reference_equivalent(cyclic.perms(), cyclic.perms())
+    assert not reference_equivalent(cyclic.perms(), other.perms())
+    assert maps_equivalent(cyclic, cyclic)
+    assert not maps_equivalent(cyclic, other)
+    assert not maps_equivalent(other, cyclic)
