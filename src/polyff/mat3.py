@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import MixedRings, NotInvertible
-from .rings import Ring, RingElem, ZMod
+from .rings import Ring, RingElem
 
 
 class _Unbounded:
@@ -37,7 +37,7 @@ ORDER_CAP_DEFAULT = 10**6
 
 
 class Mat3:
-    """A 3x3 matrix over a ring, entries in row-major order."""
+    """A 3x3 matrix over a ring: ``vals`` holds the nine entry codes, row-major."""
 
     __slots__ = ("ring", "vals")
 
@@ -76,36 +76,10 @@ class Mat3:
         return hash(self.vals)
 
     def __mul__(self, other: Mat3) -> Mat3:
-        if other.ring != self.ring:
-            raise MixedRings("cannot multiply matrices over different rings")
         ring = self.ring
-        a = self.vals
-        b = other.vals
-        if isinstance(ring, ZMod):
-            # unrolled integer path: this is the closure hot loop
-            n = ring.modulus
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-            b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-            vals = (
-                (a0 * b0 + a1 * b3 + a2 * b6) % n,
-                (a0 * b1 + a1 * b4 + a2 * b7) % n,
-                (a0 * b2 + a1 * b5 + a2 * b8) % n,
-                (a3 * b0 + a4 * b3 + a5 * b6) % n,
-                (a3 * b1 + a4 * b4 + a5 * b7) % n,
-                (a3 * b2 + a4 * b5 + a5 * b8) % n,
-                (a6 * b0 + a7 * b3 + a8 * b6) % n,
-                (a6 * b1 + a7 * b4 + a8 * b7) % n,
-                (a6 * b2 + a7 * b5 + a8 * b8) % n,
-            )
-        else:
-            add = ring._add
-            mul = ring._mul
-            vals = tuple(
-                add(add(mul(a[3 * i], b[j]), mul(a[3 * i + 1], b[3 + j])),
-                    mul(a[3 * i + 2], b[6 + j]))
-                for i in range(3) for j in range(3)
-            )
-        return Mat3._raw(ring, vals)
+        if other.ring is not ring and other.ring != ring:
+            raise MixedRings("cannot multiply matrices over different rings")
+        return Mat3._raw(ring, ring._mat_mul(self.vals, other.vals))
 
     def det(self) -> RingElem:
         """Determinant by cofactor expansion along the first row."""
@@ -140,22 +114,6 @@ class Mat3:
             if m > cap:
                 return UNBOUNDED
         return m
-
-    def key(self) -> bytes:
-        """Canonical byte key: ring cardinality, then all entry coefficients.
-
-        Distinct matrices over one ring always get distinct keys.
-        """
-        ring = self.ring
-        width = max(1, ((ring.modulus - 1).bit_length() + 7) // 8)
-        parts = [ring.cardinality.to_bytes(8, "big")]
-        for v in self.vals:
-            if isinstance(v, int):
-                parts.append(v.to_bytes(width, "big"))
-            else:
-                for c in v:
-                    parts.append(c.to_bytes(width, "big"))
-        return b"".join(parts)
 
     def to_text(self) -> str:
         fmt = self.ring._fmt

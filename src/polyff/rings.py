@@ -1,14 +1,26 @@
 """Exact arithmetic in Z/nZ and GF(p^k), plus exact (a + b*sqrt5)/c parameters.
 
-Two ring kinds are supported:
+Every ring element is an int code in [0, |R|):
 
-* ``ZMod(n)`` -- integers modulo n, elements stored as canonical residues
-  in [0, n).
+* ``ZMod(n)`` -- integers modulo n; the code is the canonical residue.
 * ``GaloisField(p, k, ext_poly)`` -- the quotient F_p[t]/(ext_poly) with a
-  monic irreducible ``ext_poly`` of degree k.  Elements are coefficient
-  tuples of length k, ascending powers, entries in [0, p).  For k = 1 the
-  quotient by the polynomial t is used, so GF(p) elements are plain
-  residues wrapped in a length-1 tuple.
+  monic irreducible ``ext_poly`` of degree k.  The element
+  c0 + c1*t + ... + c(k-1)*t^(k-1) has the code whose base-p digits are
+  c0 c1 ... c(k-1), c0 the most significant, so codes count through the
+  coefficient tuples in lexicographic order.  For k = 1 the quotient by the
+  polynomial t is used and the code is the residue mod p.
+
+Element order, and so scan row order, is ascending code order.  Polynomial
+text is parsed and printed only at the I/O boundary.
+
+``Mat3.__mul__`` calls the ring's one 3x3 product on nine-code tuples:
+
+* Z/nZ and GF(p): an unrolled (sum a*b) % n;
+* GF(p^k), k >= 2, q <= TABLE_FIELD_BOUND (64): lookups in q x q add and
+  mul tables, built on the field's first product (not at construction);
+* GF(p^k), k >= 2, q > 64: the 18 entries are unpacked into coefficients
+  once, multiplied as polynomials, folded by ext_poly and re-encoded, since
+  tables cost O(q^2) to build.
 
 Ring specification grammar (used by :func:`ring_make` and the CLI)::
 
@@ -29,7 +41,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Sequence
 
 from .errors import (
     MixedRings,
@@ -43,12 +55,12 @@ from .errors import (
     UnsupportedRing,
 )
 
-RawValue = Union[int, tuple]
-
 # exhaustive square-root search refuses above this cardinality
 SQRT_SEARCH_CAP = 10**6
 # dense coefficient vectors stay practical only for small extension degrees
 MAX_EXTENSION_DEGREE = 4
+# extension fields up to this size multiply matrices through q x q tables
+TABLE_FIELD_BOUND = 64
 
 
 def is_prime(n: int) -> bool:
@@ -111,7 +123,7 @@ def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError(f"no monic irreducible of degree {k} over F_{p}")
 
 
-def _poly_str(coeffs: tuple[int, ...]) -> str:
+def _poly_str(coeffs: Sequence[int]) -> str:
     """Descending-power rendering, e.g. (1, 1, 1) -> 't^2+t+1'."""
     terms = []
     for e in range(len(coeffs) - 1, -1, -1):
@@ -166,46 +178,48 @@ def _poly_parse(text: str, p: int) -> list[int]:
 class Ring:
     """Base class: a finite commutative ring with identity.
 
-    Subclasses provide raw-value arithmetic; user-facing values are
-    :class:`RingElem` wrappers.  Instances are immutable and hashable, so
-    they can be shared freely across threads.
+    Elements are int codes in [0, cardinality), numbered as described in the
+    module docstring; user-facing values are :class:`RingElem` wrappers.
+    Subclasses provide the code arithmetic and ``_mat_mul``, the 3x3 product
+    that ``Mat3.__mul__`` calls.  Instances are hashable and can be shared
+    across threads: the only state added after construction is a field's
+    product tables, and two threads that race to build them build equal ones.
     """
 
     kind: str
+    modulus: int
     cardinality: int
 
-    # -- raw-value operations, implemented by subclasses ---------------
-    def _add(self, u: RawValue, v: RawValue) -> RawValue:
+    # -- code operations, implemented by subclasses ----------------------
+    def _add(self, u: int, v: int) -> int:
         raise NotImplementedError
 
-    def _sub(self, u: RawValue, v: RawValue) -> RawValue:
+    def _sub(self, u: int, v: int) -> int:
         raise NotImplementedError
 
-    def _mul(self, u: RawValue, v: RawValue) -> RawValue:
+    def _mul(self, u: int, v: int) -> int:
         raise NotImplementedError
 
-    def _neg(self, u: RawValue) -> RawValue:
+    def _neg(self, u: int) -> int:
         raise NotImplementedError
 
-    def _inv(self, u: RawValue) -> RawValue:
+    def _inv(self, u: int) -> int:
         raise NotImplementedError
 
-    def _is_unit(self, u: RawValue) -> bool:
+    def _is_unit(self, u: int) -> bool:
         raise NotImplementedError
 
-    def _from_int(self, m: int) -> RawValue:
+    def _from_int(self, m: int) -> int:
         raise NotImplementedError
 
-    def _fmt(self, u: RawValue) -> str:
+    def _fmt(self, u: int) -> str:
         raise NotImplementedError
 
-    def _sort_key(self, u: RawValue):
+    def _parse(self, text: str) -> int:
         raise NotImplementedError
 
-    def _iter_values(self) -> Iterator[RawValue]:
-        raise NotImplementedError
-
-    def _parse(self, text: str) -> RawValue:
+    def _mat_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Product of two 3x3 matrices given as row-major nine-code tuples."""
         raise NotImplementedError
 
     # -- public API ------------------------------------------------------
@@ -226,7 +240,7 @@ class Ring:
         return RingElem(self, self._from_int(m))
 
     def elem(self, value) -> RingElem:
-        """Coerce an int, raw tuple, string or RingElem into this ring."""
+        """Coerce an int (its image under Z -> R), string or RingElem into this ring."""
         if isinstance(value, RingElem):
             if value.ring != self:
                 raise MixedRings(f"element of {value.ring} used in {self}")
@@ -235,13 +249,11 @@ class Ring:
             return self.from_int(value)
         if isinstance(value, str):
             return self.parse_elem(value)
-        if isinstance(value, (tuple, list)) and self.kind == "gf":
-            return RingElem(self, self._canon_tuple(tuple(value)))  # type: ignore[attr-defined]
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def elements(self) -> Iterator[RingElem]:
-        """All elements in canonical ascending order."""
-        for v in self._iter_values():
+        """All elements in ascending code order."""
+        for v in range(self.cardinality):
             yield RingElem(self, v)
 
     def parse_elem(self, text: str) -> RingElem:
@@ -254,7 +266,55 @@ class Ring:
         return self.spec_string()
 
 
-class ZMod(Ring):
+class _Residues(Ring):
+    """Arithmetic on residues mod ``modulus``: Z/nZ, and GF(p) as its k = 1 case."""
+
+    def _add(self, u, v):
+        return (u + v) % self.modulus
+
+    def _sub(self, u, v):
+        return (u - v) % self.modulus
+
+    def _mul(self, u, v):
+        return (u * v) % self.modulus
+
+    def _neg(self, u):
+        return -u % self.modulus
+
+    def _inv(self, u):
+        try:
+            return pow(u, -1, self.modulus)
+        except ValueError:
+            raise NotAUnit(f"{u} is not invertible in {self}") from None
+
+    def _is_unit(self, u):
+        return math.gcd(u, self.modulus) == 1
+
+    def _from_int(self, m):
+        return m % self.modulus
+
+    def _fmt(self, u):
+        return str(u)
+
+    def _mat_mul(self, a, b):
+        # unrolled: this is the closure hot loop
+        n = self.modulus
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        return (
+            (a0 * b0 + a1 * b3 + a2 * b6) % n,
+            (a0 * b1 + a1 * b4 + a2 * b7) % n,
+            (a0 * b2 + a1 * b5 + a2 * b8) % n,
+            (a3 * b0 + a4 * b3 + a5 * b6) % n,
+            (a3 * b1 + a4 * b4 + a5 * b7) % n,
+            (a3 * b2 + a4 * b5 + a5 * b8) % n,
+            (a6 * b0 + a7 * b3 + a8 * b6) % n,
+            (a6 * b1 + a7 * b4 + a8 * b7) % n,
+            (a6 * b2 + a7 * b5 + a8 * b8) % n,
+        )
+
+
+class ZMod(_Residues):
     """Integers modulo n, n >= 2."""
 
     kind = "zmod"
@@ -276,39 +336,6 @@ class ZMod(Ring):
     def __hash__(self) -> int:
         return hash(("zmod", self.modulus))
 
-    def _add(self, u, v):
-        return (u + v) % self.modulus
-
-    def _sub(self, u, v):
-        return (u - v) % self.modulus
-
-    def _mul(self, u, v):
-        return (u * v) % self.modulus
-
-    def _neg(self, u):
-        return -u % self.modulus
-
-    def _inv(self, u):
-        try:
-            return pow(u, -1, self.modulus)
-        except ValueError:
-            raise NotAUnit(f"{u} is not invertible mod {self.modulus}") from None
-
-    def _is_unit(self, u):
-        return math.gcd(u, self.modulus) == 1
-
-    def _from_int(self, m):
-        return m % self.modulus
-
-    def _fmt(self, u):
-        return str(u)
-
-    def _sort_key(self, u):
-        return (u,)
-
-    def _iter_values(self):
-        return iter(range(self.modulus))
-
     def _parse(self, text):
         try:
             return int(text.strip()) % self.modulus
@@ -319,15 +346,21 @@ class ZMod(Ring):
         return f"zmod:{self.modulus}"
 
 
-class GaloisField(Ring):
+class GaloisField(_Residues):
     """GF(p^k) as F_p[t]/(ext_poly) with a monic irreducible ext_poly.
 
     When no polynomial is supplied, a monic irreducible of degree k is found
     by exhaustive search (deterministic: smallest in the enumeration order).
-    Degree-1 fields use the convention ext_poly = t.
+    Degree-1 fields use the convention ext_poly = t; their codes are the
+    residues mod p, so they share Z/pZ's arithmetic.  For k >= 2 the
+    constructor returns an :class:`_ExtensionField`, the subclass with
+    coefficient arithmetic.
     """
 
     kind = "gf"
+
+    def __new__(cls, p: int, k: int = 1, ext_poly: tuple[int, ...] | None = None):
+        return super().__new__(_ExtensionField if k >= 2 else cls)
 
     def __init__(self, p: int, k: int = 1, ext_poly: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -350,8 +383,6 @@ class GaloisField(Ring):
                     f"{_poly_str(ext_poly)} is reducible over F_{p}")
         self.ext_poly = ext_poly
         self.cardinality = p**k
-        # t^k == sum(_reduction[j] * t^j): used to fold products back to degree < k
-        self._reduction = tuple(-c % p for c in ext_poly[:k])
 
     @property
     def is_field(self) -> bool:
@@ -364,50 +395,102 @@ class GaloisField(Ring):
     def __hash__(self) -> int:
         return hash(("gf", self.modulus, self.ext_poly))
 
-    def _canon_tuple(self, v: tuple) -> tuple[int, ...]:
-        if len(v) > self.degree:
-            raise RingSpecError(f"coefficient vector too long for {self}")
-        v = tuple(int(c) % self.modulus for c in v)
-        return v + (0,) * (self.degree - len(v))
+    def __reduce__(self):
+        # rebuild through the constructor, which picks the class from k
+        return GaloisField, (self.modulus, self.degree, self.ext_poly)
+
+    def _encode(self, coeffs: Sequence[int]) -> int:
+        """Code of sum(coeffs[i] * t^i), for at most k coefficients of any size."""
+        p = self.modulus
+        u = 0
+        for c in coeffs:
+            u = u * p + c % p
+        return u * p ** (self.degree - len(coeffs))
+
+    def _parse(self, text):
+        coeffs = _poly_parse(text, self.modulus)
+        if len(coeffs) > self.degree:
+            # reduce higher powers by the extension polynomial
+            coeffs = _poly_mod(tuple(coeffs), self.ext_poly, self.modulus)
+        return self._encode(coeffs)
+
+    def spec_string(self) -> str:
+        if self.degree == 1:
+            return f"gf:{self.modulus}"
+        return f"gf:{self.modulus}^{self.degree}:{_poly_str(self.ext_poly)}"
+
+
+class _ExtensionField(GaloisField):
+    """GF(p^k) for k >= 2: each operation works on the coefficients of codes.
+
+    Products use Kronecker substitution: a polynomial is packed into one
+    int with ``_shift`` bits per coefficient, wide enough that a sum of three
+    products never carries from one coefficient into the next, so one int
+    product multiplies two polynomials.
+
+    The 3x3 product follows q = p^k.  Up to TABLE_FIELD_BOUND it reads q x q
+    add and mul tables, built on the first product from the element
+    operations and stored as q rows, so each lookup is two subscripts.
+    Above it, the tables would cost O(q^2) to build, so the product packs
+    the 18 entries once and folds each of the nine results by ext_poly.
+    """
+
+    def __init__(self, p: int, k: int, ext_poly: tuple[int, ...] | None = None):
+        super().__init__(p, k, ext_poly)
+        # t^k == sum(_reduction[j] * t^j): folds products back to degree < k
+        self._reduction = tuple(-c % p for c in self.ext_poly[:k])
+        self._shift = (3 * k * (p - 1) ** 2).bit_length()
+        self._tables: tuple[list[list[int]], list[list[int]]] | None = None
+
+    def _decode(self, u: int) -> list[int]:
+        """Coefficients of the element with code u, ascending powers."""
+        p = self.modulus
+        coeffs = [0] * self.degree
+        for i in range(self.degree - 1, -1, -1):
+            u, coeffs[i] = divmod(u, p)
+        return coeffs
+
+    def _pack(self, u: int) -> int:
+        """Coefficients of code u, ``_shift`` bits each, constant term lowest."""
+        p, shift = self.modulus, self._shift
+        x = 0
+        for _ in range(self.degree):
+            u, c = divmod(u, p)
+            x = (x << shift) | c
+        return x
+
+    def _fold(self, x: int) -> int:
+        """Code of a packed product of degree <= 2k - 2, reduced by ext_poly."""
+        p, k, shift = self.modulus, self.degree, self._shift
+        mask = (1 << shift) - 1
+        coeffs = []
+        for _ in range(2 * k - 1):
+            coeffs.append(x & mask)
+            x >>= shift
+        for i in range(2 * k - 2, k - 1, -1):
+            c = coeffs[i] % p
+            if c:
+                for j, r in enumerate(self._reduction, i - k):
+                    coeffs[j] += c * r
+        return self._encode(coeffs[:k])
 
     def _add(self, u, v):
-        p = self.modulus
-        return tuple((a + b) % p for a, b in zip(u, v))
+        return self._encode([a + b for a, b in zip(self._decode(u), self._decode(v))])
 
     def _sub(self, u, v):
-        p = self.modulus
-        return tuple((a - b) % p for a, b in zip(u, v))
+        return self._encode([a - b for a, b in zip(self._decode(u), self._decode(v))])
 
     def _neg(self, u):
-        p = self.modulus
-        return tuple(-a % p for a in u)
+        return self._encode([-a for a in self._decode(u)])
 
     def _mul(self, u, v):
-        p = self.modulus
-        k = self.degree
-        if k == 1:
-            return ((u[0] * v[0]) % p,)
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        red = self._reduction
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                base = i - k
-                for j, r in enumerate(red):
-                    if r:
-                        prod[base + j] = (prod[base + j] + c * r) % p
-        return tuple(prod[:k])
+        return self._fold(self._pack(u) * self._pack(v))
 
     def _is_unit(self, u):
-        return any(u)
+        return u != 0
 
     def _inv(self, u):
-        if not any(u):
+        if not u:
             raise NotAUnit(f"0 is not invertible in {self}")
         # u^(q-2) by square-and-multiply; fine at the cardinalities we support
         e = self.cardinality - 2
@@ -421,38 +504,64 @@ class GaloisField(Ring):
         return result
 
     def _from_int(self, m):
-        return (m % self.modulus,) + (0,) * (self.degree - 1)
+        return self._encode([m])
 
     def _fmt(self, u):
-        if self.degree == 1:
-            return str(u[0])
-        return _poly_str(u)
+        return _poly_str(self._decode(u))
 
-    def _sort_key(self, u):
-        return u
+    def _build_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        q = range(self.cardinality)
+        add = [[self._add(u, v) for v in q] for u in q]
+        mul = [[self._mul(u, v) for v in q] for u in q]
+        return add, mul
 
-    def _iter_values(self):
-        return itertools.product(range(self.modulus), repeat=self.degree)
+    def _mat_mul(self, a, b):
+        tables = self._tables
+        if tables is None:
+            if self.cardinality > TABLE_FIELD_BOUND:
+                return self._poly_mat_mul(a, b)
+            tables = self._tables = self._build_tables()
+        add, mul = tables
+        x0, x1, x2, x3, x4, x5, x6, x7, x8 = a
+        r0, r1, r2 = mul[x0], mul[x1], mul[x2]
+        r3, r4, r5 = mul[x3], mul[x4], mul[x5]
+        r6, r7, r8 = mul[x6], mul[x7], mul[x8]
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        return (
+            add[add[r0[b0]][r1[b3]]][r2[b6]],
+            add[add[r0[b1]][r1[b4]]][r2[b7]],
+            add[add[r0[b2]][r1[b5]]][r2[b8]],
+            add[add[r3[b0]][r4[b3]]][r5[b6]],
+            add[add[r3[b1]][r4[b4]]][r5[b7]],
+            add[add[r3[b2]][r4[b5]]][r5[b8]],
+            add[add[r6[b0]][r7[b3]]][r8[b6]],
+            add[add[r6[b1]][r7[b4]]][r8[b7]],
+            add[add[r6[b2]][r7[b5]]][r8[b8]],
+        )
 
-    def _parse(self, text):
-        coeffs = _poly_parse(text, self.modulus)
-        if len(coeffs) > self.degree:
-            # reduce higher powers by the extension polynomial
-            coeffs = list(_poly_mod(tuple(coeffs), self.ext_poly, self.modulus))
-        return self._canon_tuple(tuple(coeffs))
-
-    def spec_string(self) -> str:
-        if self.degree == 1:
-            return f"gf:{self.modulus}"
-        return f"gf:{self.modulus}^{self.degree}:{_poly_str(self.ext_poly)}"
+    def _poly_mat_mul(self, a, b):
+        x0, x1, x2, x3, x4, x5, x6, x7, x8 = map(self._pack, a)
+        y0, y1, y2, y3, y4, y5, y6, y7, y8 = map(self._pack, b)
+        fold = self._fold
+        return (
+            fold(x0 * y0 + x1 * y3 + x2 * y6),
+            fold(x0 * y1 + x1 * y4 + x2 * y7),
+            fold(x0 * y2 + x1 * y5 + x2 * y8),
+            fold(x3 * y0 + x4 * y3 + x5 * y6),
+            fold(x3 * y1 + x4 * y4 + x5 * y7),
+            fold(x3 * y2 + x4 * y5 + x5 * y8),
+            fold(x6 * y0 + x7 * y3 + x8 * y6),
+            fold(x6 * y1 + x7 * y4 + x8 * y7),
+            fold(x6 * y2 + x7 * y5 + x8 * y8),
+        )
 
 
 @dataclass(frozen=True)
 class RingElem:
-    """An element of a specific ring, always kept in canonical reduced form."""
+    """An element of a specific ring, held as its int code."""
 
     ring: Ring
-    val: RawValue
+    val: int
 
     def _check(self, other: RingElem) -> None:
         if other.ring != self.ring:
@@ -483,11 +592,7 @@ class RingElem:
 
     @property
     def is_zero(self) -> bool:
-        return self.val == self.ring._from_int(0)
-
-    @property
-    def sort_key(self):
-        return self.ring._sort_key(self.val)
+        return self.val == 0
 
     def __str__(self) -> str:
         return self.ring._fmt(self.val)
@@ -606,10 +711,10 @@ def ring_make(spec: str) -> Ring:
 
 
 def sqrt_in_field(d: RingElem) -> RingElem | None:
-    """Some r with r*r = d, or None; ties broken by smallest canonical form.
+    """Some r with r*r = d, or None; ties broken by smallest code.
 
-    Exhaustive search, refused above cardinality 10**6.  Valid over any
-    finite field (GaloisField, or ZMod with prime modulus).
+    Exhaustive search over the codes, refused above cardinality 10**6.
+    Valid over any finite field (GaloisField, or ZMod with prime modulus).
     """
     ring = d.ring
     if not ring.is_field:
@@ -617,9 +722,11 @@ def sqrt_in_field(d: RingElem) -> RingElem | None:
     if ring.cardinality > SQRT_SEARCH_CAP:
         raise UnsupportedRing(
             f"square-root search capped at cardinality {SQRT_SEARCH_CAP}")
-    for r in ring.elements():
-        if r * r == d:
-            return r
+    mul = ring._mul
+    target = d.val
+    for r in range(ring.cardinality):
+        if mul(r, r) == target:
+            return RingElem(ring, r)
     return None
 
 

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here imports the package under test.  Two oracles:
+Nothing here imports the package under test.  Three oracles:
 
 * permutation-group enumeration (spectra of S_n, A_n by listing every
   permutation and taking cycle-length lcms);
 * a standalone matrix-closure enumerator over Z/nZ using plain integer
-  tuples, with the rotation formulas written out independently.
+  tuples, with the rotation formulas written out independently;
+* GF(p^k) arithmetic on coefficient tuples, with a naive triple-loop 3x3
+  product, against which the package's int-coded fields are compared.
 
 Two reference implementations, kept as the slow, direct algorithms that
 the package's faster ones are compared against (they take the package's
@@ -131,6 +133,93 @@ def run_map_oracle(x: int, y: int, n: int) -> dict:
         assert doubled % 2 == 0
         out.update(V=V, E=E, F=F, genus=doubled // 2)
     return out
+
+
+# ---------------------------------------------------------------------------
+# GF(p^k) on coefficient tuples
+
+class TupleField:
+    """F_p[t]/(ext_poly) with elements as coefficient tuples, ascending powers.
+
+    ``ext_poly`` is monic and ascending, e.g. (1, 1, 1) for t^2 + t + 1.
+    ``tuples()`` lists the elements in the package's element order, and
+    ``from_code``/``to_code`` restate that numbering: the code's base-p
+    digits are the coefficients, constant term most significant.
+    """
+
+    def __init__(self, p: int, ext_poly: tuple[int, ...]):
+        self.p = p
+        self.k = len(ext_poly) - 1
+        # t^k == sum(reduction[j] * t^j): folds products back to degree < k
+        self.reduction = tuple(-c % p for c in ext_poly[:self.k])
+
+    def tuples(self):
+        return itertools.product(range(self.p), repeat=self.k)
+
+    def from_code(self, code: int) -> tuple[int, ...]:
+        digits = []
+        for _ in range(self.k):
+            code, c = divmod(code, self.p)
+            digits.append(c)
+        return tuple(reversed(digits))
+
+    def to_code(self, u: tuple[int, ...]) -> int:
+        code = 0
+        for c in u:
+            code = code * self.p + c
+        return code
+
+    def add(self, u, v):
+        return tuple((a + b) % self.p for a, b in zip(u, v))
+
+    def sub(self, u, v):
+        return tuple((a - b) % self.p for a, b in zip(u, v))
+
+    def neg(self, u):
+        return tuple(-a % self.p for a in u)
+
+    def mul(self, u, v):
+        p, k = self.p, self.k
+        prod = [0] * (2 * k - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    prod[i + j] = (prod[i + j] + a * b) % p
+        for i in range(2 * k - 2, k - 1, -1):
+            c = prod[i]
+            if c:
+                prod[i] = 0
+                base = i - k
+                for j, r in enumerate(self.reduction):
+                    if r:
+                        prod[base + j] = (prod[base + j] + c * r) % p
+        return tuple(prod[:k])
+
+    def inv(self, u):
+        if not any(u):
+            raise ZeroDivisionError("0 has no inverse")
+        # u^(q-2) by square-and-multiply
+        e = self.p ** self.k - 2
+        result = (1,) + (0,) * (self.k - 1)
+        base = u
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def mat_mul(self, a, b):
+        """Row-major 3x3 product of nine-tuple matrices, by the triple loop."""
+        zero = (0,) * self.k
+        out = []
+        for i in range(3):
+            for j in range(3):
+                acc = zero
+                for m in range(3):
+                    acc = self.add(acc, self.mul(a[3 * i + m], b[3 * m + j]))
+                out.append(acc)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

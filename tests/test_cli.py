@@ -8,6 +8,7 @@ import pytest
 
 from polyff.cli import main
 from polyff.regmap import DartModel
+from polyff.rings import ring_make
 
 REPORT_FIELDS = ["schema", "ring", "x", "y", "group_order", "p", "q", "e_order",
                  "V", "E", "F", "genus", "euler", "degenerate", "degeneracy_reason",
@@ -203,6 +204,31 @@ def test_scan_zmod_and_gf_prime_field_agree(capsys, p):
     for a, b in zip(zmod["rows"], gf["rows"], strict=True):
         assert a == b, (a["x"], a["y"])
     assert zmod["classes"] == gf["classes"]
+
+
+@pytest.mark.parametrize("spec", ["gf:2^3", "gf:3^2"])
+def test_scan_rows_invariant_under_frobenius(capsys, spec):
+    # x -> x^p is a field automorphism, so (x, y) and (x^p, y^p) generate
+    # conjugate groups and give the same row apart from x and y
+    ring = ring_make(spec)
+
+    def frobenius(text):
+        e = ring.parse_elem(text)
+        power = ring.one
+        for _ in range(ring.modulus):
+            power = power * e
+        return str(power)
+
+    code, out, _ = run(capsys, "scan", "--ring", spec, "--format", "json")
+    assert code == 0
+    rows = {(r.pop("x"), r.pop("y")): r for r in json.loads(out)["rows"]}
+    assert len(rows) == ring.cardinality ** 2
+    moved = 0
+    for (x, y), row in rows.items():
+        image = (frobenius(x), frobenius(y))
+        moved += image != (x, y)
+        assert rows[image] == row, ((x, y), image)
+    assert moved > 0
 
 
 def test_scan_rejects_modulus_one(capsys):

@@ -1,0 +1,77 @@
+"""Byte identity of CLI output against captured golden files.
+
+``golden/cases.json`` names each command with its argv and exit code; its
+stdout and stderr are stored byte for byte in ``golden/<name>.out`` and
+``golden/<name>.err``.  The cases cover the three 3x3 product paths of the
+ring core (residues mod n, table-indexed GF(p^k) with q <= 64, polynomial
+GF(p^k) above) and the three output formats.
+
+To recapture after a deliberate output change, run from the repo root::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from polyff.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+CASES = {
+    "scan-gf8-text": ["scan", "--ring", "gf:2^3", "--format", "text"],
+    "scan-gf5-csv": ["scan", "--ring", "gf:5", "--format", "csv"],
+    "scan-gf4-json-exact": ["scan", "--ring", "gf:2^2", "--format", "json", "--exact-dedupe"],
+    "analyze-gf9-darts": ["analyze", "--ring", "gf:3^2", "--x", "t", "--y", "t+1", "--darts"],
+    "specialize-icosahedron-gf7-ext": ["specialize", "--solid", "icosahedron", "--ring", "gf:7",
+                                       "--auto-extend", "--darts"],
+    "specialize-dodecahedron-gf43-ext": ["specialize", "--solid", "dodecahedron",
+                                         "--ring", "gf:43", "--auto-extend", "--format", "text"],
+}
+
+
+def run(argv: list[str]) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return out.getvalue().encode(), err.getvalue().encode(), code
+
+
+def _load_cases() -> dict:
+    return json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name):
+    case = _load_cases()[name]
+    assert case["argv"] == CASES[name]
+    out, err, code = run(case["argv"])
+    assert code == case["exit"]
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+    assert err == (GOLDEN / f"{name}.err").read_bytes()
+
+
+def write_golden() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    cases = {}
+    for name, argv in CASES.items():
+        out, err, code = run(argv)
+        (GOLDEN / f"{name}.out").write_bytes(out)
+        (GOLDEN / f"{name}.err").write_bytes(err)
+        cases[name] = {"argv": argv, "exit": code}
+    lines = [f" {json.dumps(name)}: {json.dumps(case)}" for name, case in cases.items()]
+    (GOLDEN / "cases.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    write_golden()

@@ -1,4 +1,4 @@
-"""Matrix product, determinant, multiplicative order, keys, text format."""
+"""Matrix product, determinant, multiplicative order, text format."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ import random
 import pytest
 
 from polyff.errors import MixedRings, NotInvertible
-from polyff.groupgen import generate
 from polyff.mat3 import UNBOUNDED, Mat3
-from polyff.rings import GaloisField, ZMod, ring_make
+from polyff.rings import ZMod, ring_make
 from polyff.universal import PolyhedronParams, make_rhos
 
 from oracles import IDENT, mat_mul_mod, rotations_mod
@@ -119,22 +118,6 @@ def test_mixed_rings_multiplication():
     b = Mat3.identity(ZMod(7))
     with pytest.raises(MixedRings):
         a * b
-
-
-def test_key_injective_on_order_60_group():
-    # icosahedron parameters over GF(11): sqrt5 = 4, x = 1/2 = 6, y = -4/3 = 6
-    ring = GaloisField(11)
-    params = PolyhedronParams(ring.from_int(6), ring.from_int(6))
-    group = generate(list(make_rhos(params)))
-    assert group.order == 60
-    keys = {m.key() for m in group.elements}
-    assert len(keys) == 60
-
-
-def test_key_distinguishes_equal_entries_different_rings():
-    a = Mat3.identity(ZMod(5))
-    b = Mat3.identity(ZMod(7))
-    assert a.key() != b.key()
 
 
 def test_text_round_trip():

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,14 +23,18 @@ from polyff.errors import (
     SqrtNotInRing,
     UnsupportedRing,
 )
+from polyff.mat3 import Mat3
 from polyff.rings import (
     GaloisField,
     QuadRational,
+    RingElem,
     ZMod,
     reduce_quadrational,
     ring_make,
     sqrt_in_field,
 )
+
+from oracles import TupleField
 
 RINGS = [
     ZMod(12),
@@ -92,6 +102,13 @@ def test_gf_degree_cap():
 def test_ring_equality():
     assert ring_make("gf:2^2") == GaloisField(2, 2, (1, 1, 1))
     assert ring_make("zmod:7") != ring_make("gf:7")
+
+
+def test_rings_survive_pickling():
+    for ring in RINGS:
+        copy = pickle.loads(pickle.dumps(ring))
+        assert copy == ring and type(copy) is type(ring)
+        assert copy.one + copy.one == copy.from_int(2)
 
 
 def test_ring_spec_round_trip():
@@ -165,6 +182,72 @@ def test_ring_axioms_spot_check(data):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a and a * b == b * a
     assert a + (-a) == ring.zero
+
+
+@pytest.mark.parametrize("spec, tables", [
+    # every pair, through the q x q tables
+    ("gf:2^2", True), ("gf:2^3", True), ("gf:3^2", True), ("gf:7^2", True),
+    # 2,000 seeded pairs and the all-(p-1) element, through polynomial products
+    ("gf:43^2", False), ("gf:503^2:t^2+498", False),
+])
+def test_extension_arithmetic_matches_tuple_oracle(spec, tables):
+    ring = ring_make(spec)
+    oracle = TupleField(ring.modulus, ring.ext_poly)
+    q = ring.cardinality
+    rng = random.Random(spec)
+    if tables:
+        assert [oracle.from_code(u) for u in range(q)] == list(oracle.tuples())
+        pairs = [(u, v) for u in range(q) for v in range(q)]
+    else:
+        # q - 1 has every coefficient p - 1: the largest unreduced sums
+        pairs = [(q - 1, q - 1)] + [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    tup, code = oracle.from_code, oracle.to_code
+
+    def mat(codes):
+        return Mat3(ring, [RingElem(ring, c) for c in codes])
+
+    for u, v in pairs:
+        x, y = RingElem(ring, u), RingElem(ring, v)
+        assert (x + y).val == code(oracle.add(tup(u), tup(v)))
+        assert (x - y).val == code(oracle.sub(tup(u), tup(v)))
+        assert (x * y).val == code(oracle.mul(tup(u), tup(v)))
+        a = (u, v) + tuple(rng.randrange(q) for _ in range(7))
+        b = (v, u) + tuple(rng.randrange(q) for _ in range(7))
+        expected = oracle.mat_mul([tup(c) for c in a], [tup(c) for c in b])
+        assert (mat(a) * mat(b)).vals == tuple(code(e) for e in expected)
+    top = (q - 1,) * 9
+    expected = oracle.mat_mul([tup(c) for c in top], [tup(c) for c in top])
+    assert (mat(top) * mat(top)).vals == tuple(code(e) for e in expected)
+    for u in {u for u, _ in pairs}:
+        x = RingElem(ring, u)
+        assert (-x).val == code(oracle.neg(tup(u)))
+        if u:
+            assert x.inv().val == code(oracle.inv(tup(u)))
+    assert (ring._tables is not None) == tables
+
+
+def test_racing_table_builds_give_equal_products():
+    # scan pool threads share one ring; all may build its tables at once
+    workers = 8
+    ring, reference = ring_make("gf:7^2"), ring_make("gf:7^2")
+    rng = random.Random(3)
+    pairs = [tuple(tuple(rng.randrange(49) for _ in range(9)) for _ in range(2))
+             for _ in range(workers)]
+    start = threading.Barrier(workers, timeout=30)
+
+    def first_product(pair):
+        start.wait()
+        return ring._mat_mul(*pair)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(first_product, pairs, timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [reference._mat_mul(*pair) for pair in pairs]
+    assert ring._mat_mul(*pairs[0]) == results[0]
 
 
 # ---------------------------------------------------------------------------
