@@ -4,7 +4,9 @@
 stdout and stderr are stored byte for byte in ``golden/<name>.out`` and
 ``golden/<name>.err``.  The cases cover the three 3x3 product paths of the
 ring core (residues mod n, table-indexed GF(p^k) with q <= 64, polynomial
-GF(p^k) above) and the three output formats.
+GF(p^k) above) and the three output formats.  The two gf:2^2 analyses pin
+rotations of order 1 (rho_e and rho_f equal to the identity), whose
+Cayley-table columns map index 0 to itself.
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -34,6 +36,10 @@ CASES = {
                                        "--auto-extend", "--darts"],
     "specialize-dodecahedron-gf43-ext": ["specialize", "--solid", "dodecahedron",
                                          "--ring", "gf:43", "--auto-extend", "--format", "text"],
+    "analyze-gf4-x0-y1-text": ["analyze", "--ring", "gf:2^2", "--x", "0", "--y", "1",
+                               "--format", "text"],
+    "analyze-gf4-x1-y0-text": ["analyze", "--ring", "gf:2^2", "--x", "1", "--y", "0",
+                               "--format", "text"],
 }
 
 
