@@ -48,6 +48,9 @@ from .rings import (
 )
 from .universal import PolyhedronParams
 
+# bad_primes annotates the good primes below this bound that need GF(p^2)
+EXTENSION_SCAN_LIMIT = 32
+
 
 class TilingClass(enum.Enum):
     """Finiteness trichotomy for the (p, q) family."""
@@ -149,12 +152,11 @@ class BadPrimeReport:
         return dict(sorted(out.items()))
 
 
-def bad_primes(entry: NamedPolyhedron | str,
-               extension_scan_limit: int = 32) -> BadPrimeReport:
+def bad_primes(entry: NamedPolyhedron | str) -> BadPrimeReport:
     """Primes dividing the parameter denominators, with extension annotations.
 
     The computed set is exact (denominator divisors).  When the parameters
-    involve sqrt5, good primes p < extension_scan_limit with no square root
+    involve sqrt5, good primes p < EXTENSION_SCAN_LIMIT with no square root
     of 5 are annotated as needing the GF(p^2) extension.
     """
     if isinstance(entry, str):
@@ -163,7 +165,7 @@ def bad_primes(entry: NamedPolyhedron | str,
     needs = frozenset()
     if entry.needs_sqrt5:
         needs = frozenset(
-            p for p in range(2, extension_scan_limit)
+            p for p in range(2, EXTENSION_SCAN_LIMIT)
             if is_prime(p) and p not in computed and not sqrt5_exists_mod(p))
     return BadPrimeReport(entry.name, computed, entry.published_bad_primes, needs)
 

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .groupgen import CLOSURE_CAP_DEFAULT, GeneratedGroup, generate
-from .regmap import ROTATION_LABELS, RegularMapReport, analyze, dart_model, maps_equivalent
+from .regmap import RegularMapReport, analyze, dart_model, maps_equivalent
 from .rings import Ring, ZMod, ring_make
 from .universal import GeneratorSet, PolyhedronParams, survey_relations
 
@@ -41,7 +41,7 @@ def run_pipeline(params: PolyhedronParams,
                  cap: int = CLOSURE_CAP_DEFAULT) -> tuple[GeneratedGroup, RegularMapReport]:
     """Generators -> closure -> map report, for one parameter pair."""
     gens = GeneratorSet.from_params(params)
-    group = generate([gens.rho_v, gens.rho_e, gens.rho_f], cap=cap, labels=ROTATION_LABELS)
+    group = generate([gens.rho_v, gens.rho_e, gens.rho_f], cap=cap)
     return group, analyze(group)
 
 

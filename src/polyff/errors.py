@@ -76,10 +76,6 @@ class CapExceeded(PolyffError):
 # ---------------------------------------------------------------------------
 # map reconstruction
 
-class MissingLabel(PolyffError):
-    """A required generator label is absent from the generated group."""
-
-
 class NonIntegralGenus(PolyffError):
     """The (p, q, E) triple does not give an integer genus."""
 

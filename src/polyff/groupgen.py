@@ -40,18 +40,21 @@ class GroupFingerprint:
 
 
 class GeneratedGroup:
-    """The closure of a generator list: elements, labels, and Cayley edges.
+    """The closure of a generator list: elements, generators, and Cayley edges.
 
-    ``elements[0]`` is always the identity.  ``cayley`` holds one column of
+    ``elements[0]`` is always the identity.  ``generators`` lists the
+    generator matrices in column order, and ``cayley`` holds one column of
     element indices per generator: ``cayley[g][i]`` is the index of
-    ``elements[i] * gens[g]``.  ``index`` maps each element's entries to its
-    position in ``elements``; ``generate`` passes the dict it built during
-    the closure, and it is built here only when omitted.  Instances are
-    immutable after construction.
+    ``elements[i] * generators[g]``.  The map pipeline passes the rotations
+    (rho_v, rho_e, rho_f) in this order, so ``cayley[0..2]`` are their
+    columns.  ``index`` maps each element's entries to its position in
+    ``elements``; ``generate`` passes the dict it built during the closure,
+    and it is built here only when omitted.  Instances are immutable after
+    construction.
     """
 
     def __init__(self, ring: Ring, elements: list[Mat3],
-                 generators: list[tuple[str, Mat3]],
+                 generators: list[Mat3],
                  cayley: list[list[int]],
                  index: dict[tuple, int] | None = None):
         self.ring = ring
@@ -66,21 +69,11 @@ class GeneratedGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, m: Mat3) -> int:
-        return self._index[m.vals]
-
     def __contains__(self, m: Mat3) -> bool:
         return isinstance(m, Mat3) and m.ring == self.ring and m.vals in self._index
 
-    def generator(self, label: str) -> Mat3:
-        for name, m in self.generators:
-            if name == label:
-                return m
-        raise KeyError(label)
 
-
-def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
-             labels: Sequence[str] | None = None) -> GeneratedGroup:
+def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedGroup:
     """Breadth-first closure of the generators under right multiplication.
 
     Deterministic: the element order depends only on the generator list.
@@ -97,10 +90,6 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
             raise MixedRings("generators live in different rings")
         if not g.det().is_unit:
             raise NonInvertibleGenerator(f"generator determinant {g.det()} is not a unit")
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(gens))]
-    elif len(labels) != len(gens):
-        raise ValueError("labels and generators differ in length")
 
     ident = Mat3.identity(ring)
     elements = [ident]
@@ -120,7 +109,7 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
                 elements.append(b)
             column.append(j)
         i += 1
-    return GeneratedGroup(ring, elements, list(zip(labels, gens)), cayley, index)
+    return GeneratedGroup(ring, elements, list(gens), cayley, index)
 
 
 def _cyclic_walk(G: GeneratedGroup, i: int) -> list[int]:
@@ -161,9 +150,10 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     than |G|, raises InvariantViolation.
 
     The abelian flag tests generator pairs only (generators commuting
-    pairwise forces the whole group abelian); the center is the set of
-    elements commuting with every generator; z*g is read from the Cayley
-    table, so each test costs the one product g*z.
+    pairwise forces the whole group abelian), reading both products a*b and
+    b*a from the Cayley table; the center is the set of elements commuting
+    with every generator; z*g is read from the table, so each test costs
+    the one product g*z.
     """
     n_elems = G.order
     orders = [0] * n_elems
@@ -176,11 +166,12 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
             orders[j] = n // math.gcd(k, n)
     counts = Counter(orders)
 
-    gens = [g for _, g in G.generators]
-    abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
+    cols = G.cayley
+    abelian = all(cols[b][cols[a][0]] == cols[a][cols[b][0]]
+                  for a in range(len(cols)) for b in range(a + 1, len(cols)))
     elements = G.elements
-    center = sum(1 for z, *row in zip(elements, *G.cayley)
-                 if all(elements[j].vals == (g * z).vals for j, g in zip(row, gens)))
+    center = sum(1 for z, *row in zip(elements, *cols)
+                 if all(elements[j].vals == (g * z).vals for j, g in zip(row, G.generators)))
     return GroupFingerprint(n_elems, tuple(sorted(counts.items())), abelian, center)
 
 

@@ -65,9 +65,6 @@ class Mat3:
         zero = ring._from_int(0)
         return cls._raw(ring, (one, zero, zero, zero, one, zero, zero, zero, one))
 
-    def entry(self, i: int, j: int) -> RingElem:
-        return RingElem(self.ring, self.vals[3 * i + j])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat3) and other.ring == self.ring
                 and other.vals == self.vals)
@@ -93,9 +90,6 @@ class Mat3:
         m2 = sub(mul(a[3], a[7]), mul(a[4], a[6]))
         d = add(sub(mul(a[0], m0), mul(a[1], m1)), mul(a[2], m2))
         return RingElem(ring, d)
-
-    def is_identity(self) -> bool:
-        return self.vals == Mat3.identity(self.ring).vals
 
     def order(self, cap: int = ORDER_CAP_DEFAULT):
         """Least m >= 1 with self^m = I, or UNBOUNDED past the cap.

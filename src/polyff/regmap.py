@@ -1,8 +1,8 @@
 """Regular-map reconstruction from a generated rotation group.
 
-A finite group generated by labeled rotations (rho_v, rho_e, rho_f) acts
-simply transitively on the darts (oriented flags) of a regular map, so the
-darts can be identified with the group elements themselves.  With p the
+A finite group generated by the rotations (rho_v, rho_e, rho_f), in this
+order, acts simply transitively on the darts (oriented flags) of a regular
+map, so the darts can be identified with the group elements themselves.  With p the
 order of rho_v and q the order of rho_f, the counts are
 
     V = |G| / p,   E = |G| / 2,   F = |G| / q,
@@ -25,10 +25,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation, MissingLabel, NonIntegralGenus
+from .errors import InvariantViolation, NonIntegralGenus
 from .groupgen import GeneratedGroup, GroupFingerprint, order_spectrum, recognize
-
-ROTATION_LABELS = ("rho_v", "rho_e", "rho_f")
 
 
 @dataclass(frozen=True)
@@ -66,21 +64,25 @@ def genus_exact(p: int, q: int, E: int) -> int:
     return int(g)
 
 
-def _rotation_orders(G: GeneratedGroup, labels: tuple[str, str, str]) -> tuple[int, int, int]:
-    orders = []
-    for label in labels:
-        try:
-            gen = G.generator(label)
-        except KeyError:
-            raise MissingLabel(f"group has no generator labeled {label!r}") from None
-        orders.append(gen.order(cap=max(G.order, 1)))
-    return tuple(orders)  # type: ignore[return-value]
+def _rotation_columns(G: GeneratedGroup) -> list[list[int]]:
+    """The Cayley-table columns of rho_v, rho_e and rho_f, in this order."""
+    if len(G.cayley) != 3:
+        raise ValueError(f"expected the three rotations as generators, got {len(G.cayley)}")
+    return G.cayley
 
 
-def analyze(G: GeneratedGroup,
-            labels: tuple[str, str, str] = ROTATION_LABELS) -> RegularMapReport:
-    """Build the map report for a group with labeled rotation generators."""
-    p, e_order, q = _rotation_orders(G, labels)
+def _column_order(col: list[int]) -> int:
+    """A generator's order: the length of its column's cycle through index 0 (the identity)."""
+    n, j = 1, col[0]
+    while j:
+        j = col[j]
+        n += 1
+    return n
+
+
+def analyze(G: GeneratedGroup) -> RegularMapReport:
+    """Build the map report for a group generated by (rho_v, rho_e, rho_f)."""
+    p, e_order, q = map(_column_order, _rotation_columns(G))
     fp = order_spectrum(G)
     name = recognize(fp)
     order = G.order
@@ -139,10 +141,6 @@ def _perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
 
 def _cycles_str(perm: tuple[int, ...]) -> str:
     return "".join("(" + " ".join(map(str, c)) + ")" for c in _perm_cycles(perm))
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(len(c) for c in _perm_cycles(perm)))
 
 
 @dataclass(frozen=True)
@@ -205,23 +203,15 @@ def _transitive(perms, degree: int) -> bool:
     return count == degree
 
 
-def dart_model(G: GeneratedGroup,
-               labels: tuple[str, str, str] = ROTATION_LABELS) -> DartModel:
+def dart_model(G: GeneratedGroup) -> DartModel:
     """Dart permutations by right multiplication on the element order.
 
     Each permutation is the Cayley-table column of its rotation, so every
-    group ``generate`` builds has a dart model.  The model invariants are
-    checked before returning; a failure there is a bug trap, not a user
-    error.
+    group ``generate`` builds from (rho_v, rho_e, rho_f) has a dart model.
+    The model invariants are checked before returning; a failure there is a
+    bug trap, not a user error.
     """
-    gen_labels = [name for name, _ in G.generators]
-    perms = []
-    for label in labels:
-        if label not in gen_labels:
-            raise MissingLabel(f"group has no generator labeled {label!r}")
-        col = gen_labels.index(label)
-        perms.append(tuple(G.cayley[col]))
-    model = DartModel(G.order, *perms)
+    model = DartModel(G.order, *map(tuple, _rotation_columns(G)))
 
     pv, pe, pf = model.perms()
     n = model.degree
@@ -239,22 +229,23 @@ def dart_model(G: GeneratedGroup,
 def maps_equivalent(a: DartModel, b: DartModel) -> bool:
     """Whether some dart bijection conjugates a's permutations to b's.
 
-    The action is assumed regular (transitive with trivial dart
-    stabilizers), as for every model ``dart_model`` builds.  Only the
-    candidate that fixes dart 0 is tried: it is extended along the action
-    and rejected at the first inconsistency, so a call costs O(n).  One
-    candidate decides the question because the centralizer of a regular
-    permutation group is transitive (it is the regular action from the
-    other side).  If some bijection psi conjugates a to b, with
-    psi(0) = d, then c * psi also does for every c centralizing b's
-    permutations, and one such c maps d back to 0.
+    Only the candidate that fixes dart 0 is tried: it is extended along the
+    action and rejected at the first inconsistency, so a call costs O(n).
+
+    The search is sound for any input: True is returned only once the
+    candidate is a bijection checked against every dart and permutation.
+    It is complete when the actions are regular (transitive with trivial
+    dart stabilizers), as for every model ``dart_model`` builds: no
+    equivalent pair is then answered False.  One candidate decides because
+    the centralizer of a regular permutation group is transitive (it is the
+    regular action from the other side).  If some bijection psi conjugates
+    a to b, with psi(0) = d, then c * psi also does for every c
+    centralizing b's permutations, and one such c maps d back to 0.
     """
     if a.degree != b.degree:
         return False
     pa = a.perms()
     pb = b.perms()
-    if any(_cycle_type(x) != _cycle_type(y) for x, y in zip(pa, pb)):
-        return False
     n = a.degree
     if n == 0:
         return False  # no dart 0 to anchor a candidate on

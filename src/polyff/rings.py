@@ -590,10 +590,6 @@ class RingElem:
     def is_unit(self) -> bool:
         return self.ring._is_unit(self.val)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.val == 0
-
     def __str__(self) -> str:
         return self.ring._fmt(self.val)
 

@@ -233,7 +233,7 @@ def reference_fingerprint(group) -> tuple:
     """
     cap = max(group.order, 1)
     counts = Counter(m.order(cap) for m in group.elements)
-    gens = [g for _, g in group.generators]
+    gens = group.generators
     abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
     center = sum(1 for z in group.elements if all(z * g == g * z for g in gens))
     return group.order, tuple(sorted(counts.items())), abelian, center

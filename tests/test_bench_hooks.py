@@ -1,0 +1,41 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+``perfbench/tracer.py`` wraps polyff's entry points by name (``Mat3.order``,
+``Mat3.__mul__``, each ring's ``_mul``, ``regmap.order_spectrum``, ...).  A
+rename or deletion in ``src/`` breaks ``perfbench/run.py --trace 1`` without
+failing any other test, so this one installs the tracer around a CLI call.
+``perfbench/`` is put on ``sys.path``; nothing there is copied or edited.
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from polyff import cli, groupgen, mat3, regmap
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_wraps_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    originals = (cli.main, cli.generate, groupgen.generate, regmap.order_spectrum,
+                 vars(mat3.Mat3)["__mul__"], vars(mat3.Mat3)["order"])
+    t = tracer.Tracer()
+    try:
+        t.install()  # a KeyError here names a wrapped function that is gone
+        assert cli.main is not originals[0]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["analyze", "--ring", "gf:3", "--x", "0", "--y", "0"])
+    finally:
+        t.uninstall()
+    assert code == 0 and out.getvalue()
+    assert t.totals().products > 0
+    assert {s.name for s in t.spans} >= {"cli.main", "groupgen.closure", "groupgen.spectrum",
+                                         "regmap.analyze"}
+    assert (cli.main, cli.generate, groupgen.generate, regmap.order_spectrum,
+            vars(mat3.Mat3)["__mul__"], vars(mat3.Mat3)["order"]) == originals

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyff.errors import MissingLabel, NonIntegralGenus
+from polyff.errors import NonIntegralGenus
 from polyff.groupgen import generate
 from polyff.regmap import (
     DartModel,
@@ -25,7 +25,7 @@ from oracles import reference_equivalent, run_map_oracle
 def _run(spec, x, y, **kw):
     ring = ring_make(spec)
     params = PolyhedronParams(ring.elem(x), ring.elem(y))
-    group = generate(list(make_rhos(params)), labels=("rho_v", "rho_e", "rho_f"), **kw)
+    group = generate(list(make_rhos(params)), **kw)
     return group, analyze(group)
 
 
@@ -118,12 +118,28 @@ def test_counts_satisfy_group_identities():
         assert report.euler == 2 - 2 * report.genus
 
 
-def test_missing_label():
+def test_analyze_needs_three_rotations():
     ring = ring_make("gf:5")
     params = PolyhedronParams(ring.from_int(0), ring.from_int(0))
-    group = generate(list(make_rhos(params)))  # default labels g0, g1, g2
-    with pytest.raises(MissingLabel):
+    rho_v, rho_e, _ = make_rhos(params)
+    group = generate([rho_v, rho_e])
+    with pytest.raises(ValueError):
         analyze(group)
+    with pytest.raises(ValueError):
+        dart_model(group)
+
+
+@pytest.mark.parametrize("spec", ["gf:3", "gf:2^2", "zmod:6"])
+def test_rotation_orders_match_matrix_orders(spec):
+    # Mat3.order multiplies matrices and shares no code with the table reads;
+    # zmod:6 and the x, y = +-1 pairs give degenerate groups
+    ring = ring_make(spec)
+    for x in ring.elements():
+        for y in ring.elements():
+            group, report = _run(spec, x, y)
+            cap = max(group.order, 1)
+            assert (report.p, report.e_order, report.q) \
+                == tuple(g.order(cap) for g in group.generators), (spec, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +211,18 @@ def test_equivalent_maps_have_equal_fingerprints():
         assert order_spectrum(ga) == order_spectrum(gb)
 
 
-# in zmod:6 some same-fingerprint pairs pass the cycle-type precheck and
-# are told apart only by the search itself
+# every same-degree pair, so pairs with different cycle types or different
+# fingerprints reach the search too
 @pytest.mark.parametrize("spec", ["zmod:5", "zmod:6"])
 def test_one_candidate_agrees_with_reference_search(spec):
     ring = ring_make(spec)
-    by_fingerprint = {}
+    by_degree = {}
     for x in ring.elements():
         for y in ring.elements():
-            group, report = _run(spec, x, y)
-            by_fingerprint.setdefault(report.fingerprint, []).append(dart_model(group))
+            group, _ = _run(spec, x, y)
+            by_degree.setdefault(group.order, []).append(dart_model(group))
     outcomes = set()
-    for models in by_fingerprint.values():
+    for models in by_degree.values():
         for a in models:
             for b in models:
                 expected = reference_equivalent(a.perms(), b.perms())
