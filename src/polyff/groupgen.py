@@ -13,6 +13,7 @@ isomorphism test.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,35 +43,26 @@ class GroupFingerprint:
 class GeneratedGroup:
     """The closure of a generator list: elements, generators, and Cayley edges.
 
-    ``elements[0]`` is always the identity.  ``generators`` lists the
-    generator matrices in column order, and ``cayley`` holds one column of
-    element indices per generator: ``cayley[g][i]`` is the index of
-    ``elements[i] * generators[g]``.  The map pipeline passes the rotations
-    (rho_v, rho_e, rho_f) in this order, so ``cayley[0..2]`` are their
-    columns.  ``index`` maps each element's entries to its position in
-    ``elements``; ``generate`` passes the dict it built during the closure,
-    and it is built here only when omitted.  Instances are immutable after
-    construction.
+    ``elements`` lists the group in discovery order, with ``elements[0]``
+    the identity.  ``generators`` lists the generator matrices in column
+    order, and ``cayley`` holds one column of element indices per
+    generator: ``cayley[g][i]`` is the index of ``elements[i] *
+    generators[g]``.  The map pipeline passes the rotations (rho_v, rho_e,
+    rho_f) in this order, so ``cayley[0..2]`` are their columns.  Instances
+    are immutable after construction.
     """
 
     def __init__(self, ring: Ring, elements: list[Mat3],
                  generators: list[Mat3],
-                 cayley: list[list[int]],
-                 index: dict[tuple, int] | None = None):
+                 cayley: list[list[int]]):
         self.ring = ring
         self.elements = elements
         self.generators = generators
         self.cayley = cayley
-        if index is None:
-            index = {m.vals: i for i, m in enumerate(elements)}
-        self._index = index
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, m: Mat3) -> bool:
-        return isinstance(m, Mat3) and m.ring == self.ring and m.vals in self._index
 
 
 def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedGroup:
@@ -109,70 +101,134 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
                 elements.append(b)
             column.append(j)
         i += 1
-    return GeneratedGroup(ring, elements, list(gens), cayley, index)
+    return GeneratedGroup(ring, elements, list(gens), cayley)
 
 
-def _cyclic_walk(G: GeneratedGroup, i: int) -> list[int]:
-    """Indices of a, a^2, ..., a^n = identity for a = elements[i].
+def _schreier_tree(cols: list[list[int]], n: int) -> tuple[array, bytearray]:
+    """The closure's breadth-first tree, read back from its Cayley table.
 
-    Raises InvariantViolation when a power is not in the group or the walk
-    passes |G| steps without reaching index 0 (so ``elements[0]`` is not the
-    identity, or the element list is not closed).
+    Returns ``parent`` and ``gen`` with ``j = parent[j] * generators[gen[j]]``
+    and ``parent[j] < j`` for every j > 0.  ``generate`` numbers the
+    elements in discovery order, so a row-by-row sweep of the table meets
+    each new index exactly when it is the next unseen one.  Raises
+    InvariantViolation when an index is never reached from index 0 or the
+    table is not numbered in discovery order.
     """
-    a = G.elements[i]
-    index = G._index
-    limit = G.order
-    walk = [i]
-    power = a
-    while walk[-1] != 0:
-        if len(walk) >= limit:
-            raise InvariantViolation(
-                f"powers of element {i} do not reach the identity within |G| = {limit} steps")
-        power = power * a
-        j = index.get(power.vals)
-        if j is None:
-            raise InvariantViolation(
-                f"power {len(walk) + 1} of element {i} is not in the group")
-        walk.append(j)
-    return walk
+    parent = array("l", [0]) * n
+    gen = bytearray(n)
+    reached = 1
+    for i, row in enumerate(zip(*cols)):
+        if reached == n:
+            return parent, gen
+        if i == reached:
+            raise InvariantViolation(f"index {i} of {n} is not reached from index 0")
+        for k, j in enumerate(row):
+            if j >= reached:
+                if j != reached or j == n:
+                    raise InvariantViolation(
+                        f"Cayley entry {j} at row {i} is not in discovery order")
+                parent[j] = i
+                gen[j] = k
+                reached += 1
+    if reached < n:
+        raise InvariantViolation(f"index {reached} of {n} is not reached from index 0")
+    return parent, gen
+
+
+def _conjugacy_classes(cols: list[list[int]], parent: array,
+                       gen: bytearray) -> tuple[list[int], list[int], list[int]]:
+    """Each element's class number, and each class's first element and size.
+
+    Conjugation by a generator g sends x * g to g * x, so ``conj[col[x]]``
+    is g * x and needs no inverse.  It is filled in index order along the
+    tree: g * j = (g * parent[j]) * generators[gen[j]], and g * parent[j]
+    is already stored, at ``conj[col[parent[j]]]``, because parent[j] < j.
+    The classes are the orbits of these maps, because the generators generate
+    the group.  The lists hold the table's own int objects, so they cost no
+    more than arrays.
+    """
+    n = len(parent)
+    conjs = []
+    for col in cols:
+        conj = [0] * n
+        conj[col[0]] = col[0]
+        for j in range(1, n):
+            conj[col[j]] = cols[gen[j]][conj[col[parent[j]]]]
+        conjs.append(conj)
+
+    class_of = [-1] * n
+    reps: list[int] = []
+    sizes: list[int] = []
+    for r in range(n):
+        if class_of[r] >= 0:
+            continue
+        c = len(reps)
+        class_of[r] = c
+        reps.append(r)
+        members = [r]
+        for y in members:
+            for conj in conjs:
+                z = conj[y]
+                if class_of[z] < 0:
+                    class_of[z] = c
+                    members.append(z)
+        sizes.append(len(members))
+    return class_of, reps, sizes
 
 
 def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     """Element-order multiset plus abelian flag and center size.
 
-    Orders come from one walk per cyclic subgroup (Holt, Eick & O'Brien,
-    *Handbook of Computational Group Theory*, section 3.1): for each element
-    a whose order is still unknown, its powers a, a^2, ... are looked up in
-    the element index until the identity (index 0) comes back after n steps;
-    then a^k has order n / gcd(k, n), so every power gets its order from the
-    one walk.  The generators were checked invertible by ``generate``, so no
-    determinant is taken.  A power missing from the index, or a walk longer
-    than |G|, raises InvariantViolation.
+    Everything is read from the Cayley table, and no matrix is multiplied
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
+    section 3.1 and chapter 4).  The closure's breadth-first tree gives
+    left multiplication and conjugation by each generator, and from them
+    the conjugacy classes.  The center is the set of one-element classes,
+    and the group is abelian when its center is all of it.
 
-    The abelian flag tests generator pairs only (generators commuting
-    pairwise forces the whole group abelian), reading both products a*b and
-    b*a from the Cayley table; the center is the set of elements commuting
-    with every generator; z*g is read from the table, so each test costs
-    the one product g*z.
+    Element order is a class invariant, so one power walk per class gives
+    the orders.  The walk right-multiplies by the class representative a,
+    following a's tree word through the columns, until index 0 (the
+    identity) comes back after n steps.  The power a^k has order
+    n / gcd(k, n), so the walk also settles the classes of a's powers.
+
+    A table that the tree sweep rejects, or a walk longer than |G|, raises
+    InvariantViolation.
     """
     n_elems = G.order
-    orders = [0] * n_elems
-    for i in range(n_elems):
-        if orders[i]:
+    cols = G.cayley
+    parent, gen = _schreier_tree(cols, n_elems)
+    class_of, reps, sizes = _conjugacy_classes(cols, parent, gen)
+
+    class_order = [0] * len(reps)
+    for c, a in enumerate(reps):
+        if class_order[c]:
             continue
-        walk = _cyclic_walk(G, i)
+        word = []
+        j = a
+        while j:
+            word.append(cols[gen[j]])
+            j = parent[j]
+        word.reverse()
+        walk = [a]
+        j = a
+        while j:
+            if len(walk) >= n_elems:
+                raise InvariantViolation(
+                    f"powers of element {a} do not reach index 0 within |G| = {n_elems} steps")
+            for col in word:
+                j = col[j]
+            walk.append(j)
         n = len(walk)
         for k, j in enumerate(walk, 1):
-            orders[j] = n // math.gcd(k, n)
-    counts = Counter(orders)
+            if not class_order[class_of[j]]:
+                class_order[class_of[j]] = n // math.gcd(k, n)
 
-    cols = G.cayley
-    abelian = all(cols[b][cols[a][0]] == cols[a][cols[b][0]]
-                  for a in range(len(cols)) for b in range(a + 1, len(cols)))
-    elements = G.elements
-    center = sum(1 for z, *row in zip(elements, *cols)
-                 if all(elements[j].vals == (g * z).vals for j, g in zip(row, G.generators)))
-    return GroupFingerprint(n_elems, tuple(sorted(counts.items())), abelian, center)
+    counts: Counter[int] = Counter()
+    for order, size in zip(class_order, sizes):
+        counts[order] += size
+    center = sizes.count(1)
+    return GroupFingerprint(n_elems, tuple(sorted(counts.items())), center == n_elems, center)
 
 
 # ---------------------------------------------------------------------------

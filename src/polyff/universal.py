@@ -62,9 +62,6 @@ class GeneratorSet:
         rv, re, rf = make_rhos(params)
         return cls(params.ring, s0, s1, s2, rv, re, rf)
 
-    def rotations(self) -> list[tuple[str, Mat3]]:
-        return [("rho_v", self.rho_v), ("rho_e", self.rho_e), ("rho_f", self.rho_f)]
-
 
 def make_sigmas(params: PolyhedronParams) -> tuple[Mat3, Mat3, Mat3]:
     """The three fundamental reflections for (x, y)."""

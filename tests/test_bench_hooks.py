@@ -13,6 +13,8 @@ import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from polyff import cli, groupgen, mat3, regmap
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,3 +41,25 @@ def test_tracer_wraps_and_restores(monkeypatch):
                                          "regmap.analyze"}
     assert (cli.main, cli.generate, groupgen.generate, regmap.order_spectrum,
             vars(mat3.Mat3)["__mul__"], vars(mat3.Mat3)["order"]) == originals
+
+
+@pytest.mark.parametrize("ring, x, y", [("zmod:7", "2", "3"), ("gf:2^2", "t", "t+1")])
+def test_no_matrix_product_after_the_closure(monkeypatch, ring, x, y):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["analyze", "--ring", ring, "--x", x, "--y", y])
+    finally:
+        t.uninstall()
+    assert code == 0
+    [closure] = [s for s in t.spans if s.name == "groupgen.closure"]
+    [spectrum] = [s for s in t.spans if s.name == "groupgen.spectrum"]
+    order, _ = closure.info
+    assert order > 1
+    assert closure.products == 3 * order  # one product per Cayley-table entry
+    assert spectrum.products == 0
+    assert t.totals().products == 3 * order

@@ -123,11 +123,12 @@ def test_closure_idempotent():
 
 def test_closure_is_closed_and_contains_identity():
     group = _rotation_group("zmod:4", 0, -1)
-    assert Mat3.identity(group.ring) in group
+    members = {m.vals for m in group.elements}
+    assert Mat3.identity(group.ring).vals in members
     assert [len(column) for column in group.cayley] == [group.order] * 3
     for i, m in enumerate(group.elements):
         for column, g in zip(group.cayley, group.generators):
-            assert m * g in group
+            assert (m * g).vals in members
             assert group.elements[column[i]] == m * g
 
 
@@ -146,9 +147,10 @@ def test_spectrum_matches_oracle_spectrum():
     assert fp.spectrum == oracle
 
 
-@pytest.mark.parametrize("spec", ["gf:3", "gf:2^2", "zmod:6"], ids=lambda spec: f"table-{spec}")
+@pytest.mark.parametrize("spec", ["gf:3", "gf:2^2", "gf:5", "zmod:6", "zmod:8", "zmod:9"],
+                         ids=lambda spec: f"table-{spec}")
 def test_spectrum_matches_per_element_reference(spec):
-    # zmod:6 is not a field and gives degenerate groups
+    # zmod:6, zmod:8 and zmod:9 are not fields and give degenerate groups
     ring = ring_make(spec)
     for x in ring.elements():
         for y in ring.elements():
@@ -158,22 +160,22 @@ def test_spectrum_matches_per_element_reference(spec):
                 == reference_fingerprint(group), (spec, x, y)
 
 
-def test_spectrum_rejects_missing_power():
+def test_spectrum_rejects_unreached_index():
     group = _rotation_group("gf:5", 0, 0)
-    drop = next(i for i, m in enumerate(group.elements) if m.order(24) >= 3)
-    elements = group.elements[:drop] + group.elements[drop + 1:]
-    # the intact table: the walk fails before the center test reads it
-    broken = GeneratedGroup(group.ring, elements, group.generators, group.cayley)
-    with pytest.raises(InvariantViolation):
+    n = group.order
+    # one more element whose every edge is a self-loop: no path from index 0 reaches it
+    elements = group.elements + [group.elements[1]]
+    cayley = [column + [n] for column in group.cayley]
+    broken = GeneratedGroup(group.ring, elements, group.generators, cayley)
+    with pytest.raises(InvariantViolation, match="not reached"):
         order_spectrum(broken)
 
 
 def test_spectrum_rejects_walk_longer_than_group():
     group = _rotation_group("gf:5", 0, 0)
-    ident, g = group.elements[0], group.elements[1]
-    # index 0 is not the identity, so no walk can come back to it
-    broken = GeneratedGroup(group.ring, [g, ident], group.generators, group.cayley)
-    with pytest.raises(InvariantViolation):
+    # 0 -> 1 -> 2 -> 2: the tree is intact, but the powers of element 1 never return to 0
+    broken = GeneratedGroup(group.ring, group.elements[:3], group.generators[:1], [[1, 2, 2]])
+    with pytest.raises(InvariantViolation, match="do not reach index 0"):
         order_spectrum(broken)
 
 

@@ -112,9 +112,12 @@ def test_generator_determinants(spec):
 
 
 def test_generator_set_bundles_consistently():
-    gens = GeneratorSet.from_params(_params(ZMod(5), 0, 0))
-    assert gens.rho_v == gens.sigma1 * gens.sigma2
-    assert [name for name, _ in gens.rotations()] == ["rho_v", "rho_e", "rho_f"]
+    params = _params(ZMod(5), 0, 0)
+    gens = GeneratorSet.from_params(params)
+    s0, s1, s2 = gens.sigma0, gens.sigma1, gens.sigma2
+    # make_rhos returns (rho_v, rho_e, rho_f) in this order
+    assert make_rhos(params) == (s1 * s2, s0 * s2, s0 * s1)
+    assert make_rhos(params) == (gens.rho_v, gens.rho_e, gens.rho_f)
 
 
 def test_params_require_one_ring():
