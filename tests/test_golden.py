@@ -6,7 +6,9 @@ stdout and stderr are stored byte for byte in ``golden/<name>.out`` and
 ring core (residues mod n, table-indexed GF(p^k) with q <= 64, polynomial
 GF(p^k) above) and the three output formats.  The two gf:2^2 analyses pin
 rotations of order 1 (rho_e and rho_f equal to the identity), whose
-Cayley-table columns map index 0 to itself.
+Cayley-table columns map index 0 to itself.  The refusals pin the bad-prime
+report over a composite modulus (exit 3) and auto-extension from a field that
+is not prime (exit 2); the gf:101 relations survey pins the sampled path.
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -40,6 +42,11 @@ CASES = {
                                "--format", "text"],
     "analyze-gf4-x1-y0-text": ["analyze", "--ring", "gf:2^2", "--x", "1", "--y", "0",
                                "--format", "text"],
+    "relations-gf101-sampled": ["relations", "--ring", "gf:101", "--trials", "50"],
+    "specialize-icosahedron-zmod21-bad": ["specialize", "--solid", "icosahedron",
+                                          "--ring", "zmod:21", "--auto-extend"],
+    "specialize-dodecahedron-gf343-ext": ["specialize", "--solid", "dodecahedron",
+                                          "--ring", "gf:7^3", "--auto-extend"],
 }
 
 
