@@ -24,7 +24,7 @@ from .groupgen import (
     order_spectrum,
     recognize,
 )
-from .mat3 import UNBOUNDED, Mat3
+from .mat3 import Mat3
 from .regmap import (
     DartModel,
     RegularMapReport,
@@ -74,7 +74,6 @@ __all__ = [
     "Ring",
     "RingElem",
     "TilingClass",
-    "UNBOUNDED",
     "ZMod",
     "analyze",
     "bad_primes",

@@ -42,7 +42,6 @@ from .rings import (
     GaloisField,
     QuadRational,
     Ring,
-    ZMod,
     is_prime,
     reduce_quadrational,
 )
@@ -171,12 +170,8 @@ def bad_primes(entry: NamedPolyhedron | str) -> BadPrimeReport:
 
 
 def _offending_primes(q: QuadRational, ring: Ring) -> set[int]:
-    if isinstance(ring, GaloisField):
-        chars = {ring.modulus}
-    else:
-        chars = {p for p in range(2, ring.modulus + 1)
-                 if is_prime(p) and ring.modulus % p == 0}
-    return {p for p in q.denominator_primes() if p in chars}
+    # a GaloisField's modulus is its characteristic
+    return {p for p in q.denominator_primes() if ring.modulus % p == 0}
 
 
 def _reduce_both(entry: NamedPolyhedron, ring: Ring) -> PolyhedronParams:
@@ -209,9 +204,7 @@ def specialize(entry: NamedPolyhedron | str, ring: Ring,
                 f"{exc}; pass auto_extend to retry over the quadratic extension"
             ) from None
     # retry over the quadratic extension
-    prime_field = (isinstance(ring, GaloisField) and ring.degree == 1) or \
-                  (isinstance(ring, ZMod) and ring.is_field)
-    if not prime_field:
+    if not (ring.is_field and ring.cardinality == ring.modulus):
         raise UnsupportedRing(
             f"auto-extension is only defined from a prime field, not {ring}")
     p = ring.modulus

@@ -3,10 +3,6 @@
 Matrices are immutable, entrywise-canonical, and hashable.  The column
 convention is used throughout: a matrix acts on column vectors, and the
 columns are the images of the three basis vectors.
-
-Text format for reports: row-major, rows separated by ``;`` and entries by
-``,`` (entries may be any parseable element literal, e.g. ``-1`` before
-canonical reduction).
 """
 
 from __future__ import annotations
@@ -15,25 +11,6 @@ from typing import Iterable, Sequence
 
 from .errors import MixedRings, NotInvertible
 from .rings import Ring, RingElem
-
-
-class _Unbounded:
-    """Sentinel: a multiplicative order that exceeded the search cap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _Unbounded()
-
-ORDER_CAP_DEFAULT = 10**6
 
 
 class Mat3:
@@ -91,11 +68,10 @@ class Mat3:
         d = add(sub(mul(a[0], m0), mul(a[1], m1)), mul(a[2], m2))
         return RingElem(ring, d)
 
-    def order(self, cap: int = ORDER_CAP_DEFAULT):
-        """Least m >= 1 with self^m = I, or UNBOUNDED past the cap.
+    def order(self) -> int:
+        """Least m >= 1 with self^m = I, by iterated multiplication.
 
-        Computed by iterated multiplication; over a finite ring UNBOUNDED
-        only means the cap was too small.
+        Finite for every invertible matrix over a finite ring.
         """
         if not self.det().is_unit:
             raise NotInvertible("matrix order undefined: determinant is not a unit")
@@ -105,29 +81,10 @@ class Mat3:
         while power.vals != ident:
             power = power * self
             m += 1
-            if m > cap:
-                return UNBOUNDED
         return m
 
-    def to_text(self) -> str:
-        fmt = self.ring._fmt
-        return ";".join(
-            ",".join(fmt(self.vals[3 * i + j]) for j in range(3)) for i in range(3)
-        )
-
-    @classmethod
-    def from_text(cls, ring: Ring, text: str) -> Mat3:
-        rows = text.strip().split(";")
-        if len(rows) != 3:
-            raise ValueError(f"expected 3 rows, got {len(rows)}")
-        entries = []
-        for row in rows:
-            cells = row.split(",")
-            if len(cells) != 3:
-                raise ValueError(f"expected 3 entries per row, got {len(cells)}")
-            entries.extend(ring.parse_elem(cell) for cell in cells)
-        return cls(ring, entries)
-
     def __repr__(self) -> str:
-        return f"Mat3({self.ring}, {self.to_text()!r})"
+        fmt = self.ring._fmt
+        rows = ";".join(",".join(map(fmt, self.vals[i:i + 3])) for i in (0, 3, 6))
+        return f"Mat3({self.ring}, {rows!r})"
 

@@ -17,7 +17,7 @@ text is parsed and printed only at the I/O boundary.
 
 * Z/nZ and GF(p): an unrolled (sum a*b) % n;
 * GF(p^k), k >= 2, q <= TABLE_FIELD_BOUND (64): lookups in q x q add and
-  mul tables, built on the field's first product (not at construction);
+  mul tables, built when the field is constructed;
 * GF(p^k), k >= 2, q > 64: the 18 entries are unpacked into coefficients
   once, multiplied as polynomials, folded by ext_poly and re-encoded, since
   tables cost O(q^2) to build.
@@ -181,9 +181,8 @@ class Ring:
     Elements are int codes in [0, cardinality), numbered as described in the
     module docstring; user-facing values are :class:`RingElem` wrappers.
     Subclasses provide the code arithmetic and ``_mat_mul``, the 3x3 product
-    that ``Mat3.__mul__`` calls.  Instances are hashable and can be shared
-    across threads: the only state added after construction is a field's
-    product tables, and two threads that race to build them build equal ones.
+    that ``Mat3.__mul__`` calls.  Instances are hashable and immutable after
+    construction, so threads can share them.
     """
 
     kind: str
@@ -353,14 +352,19 @@ class GaloisField(_Residues):
     by exhaustive search (deterministic: smallest in the enumeration order).
     Degree-1 fields use the convention ext_poly = t; their codes are the
     residues mod p, so they share Z/pZ's arithmetic.  For k >= 2 the
-    constructor returns an :class:`_ExtensionField`, the subclass with
-    coefficient arithmetic.
+    constructor returns a subclass with coefficient arithmetic, chosen by
+    q = p^k: a :class:`_TableField` up to TABLE_FIELD_BOUND, an
+    :class:`_ExtensionField` above.
     """
 
     kind = "gf"
 
     def __new__(cls, p: int, k: int = 1, ext_poly: tuple[int, ...] | None = None):
-        return super().__new__(_ExtensionField if k >= 2 else cls)
+        if k < 2:
+            return super().__new__(cls)
+        # test k first: __init__ refuses a large k, and p**k could be huge
+        small = k <= MAX_EXTENSION_DEGREE and p**k <= TABLE_FIELD_BOUND
+        return super().__new__(_TableField if small else _ExtensionField)
 
     def __init__(self, p: int, k: int = 1, ext_poly: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -426,13 +430,9 @@ class _ExtensionField(GaloisField):
     Products use Kronecker substitution: a polynomial is packed into one
     int with ``_shift`` bits per coefficient, wide enough that a sum of three
     products never carries from one coefficient into the next, so one int
-    product multiplies two polynomials.
-
-    The 3x3 product follows q = p^k.  Up to TABLE_FIELD_BOUND it reads q x q
-    add and mul tables, built on the first product from the element
-    operations and stored as q rows, so each lookup is two subscripts.
-    Above it, the tables would cost O(q^2) to build, so the product packs
-    the 18 entries once and folds each of the nine results by ext_poly.
+    product multiplies two polynomials.  The 3x3 product packs the 18
+    entries once and folds each of the nine results by ext_poly, which costs
+    nothing up front for the large q whose q x q tables would not pay off.
     """
 
     def __init__(self, p: int, k: int, ext_poly: tuple[int, ...] | None = None):
@@ -440,7 +440,6 @@ class _ExtensionField(GaloisField):
         # t^k == sum(_reduction[j] * t^j): folds products back to degree < k
         self._reduction = tuple(-c % p for c in self.ext_poly[:k])
         self._shift = (3 * k * (p - 1) ** 2).bit_length()
-        self._tables: tuple[list[list[int]], list[list[int]]] | None = None
 
     def _decode(self, u: int) -> list[int]:
         """Coefficients of the element with code u, ascending powers."""
@@ -509,19 +508,39 @@ class _ExtensionField(GaloisField):
     def _fmt(self, u):
         return _poly_str(self._decode(u))
 
-    def _build_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+    def _mat_mul(self, a, b):
+        x0, x1, x2, x3, x4, x5, x6, x7, x8 = map(self._pack, a)
+        y0, y1, y2, y3, y4, y5, y6, y7, y8 = map(self._pack, b)
+        fold = self._fold
+        return (
+            fold(x0 * y0 + x1 * y3 + x2 * y6),
+            fold(x0 * y1 + x1 * y4 + x2 * y7),
+            fold(x0 * y2 + x1 * y5 + x2 * y8),
+            fold(x3 * y0 + x4 * y3 + x5 * y6),
+            fold(x3 * y1 + x4 * y4 + x5 * y7),
+            fold(x3 * y2 + x4 * y5 + x5 * y8),
+            fold(x6 * y0 + x7 * y3 + x8 * y6),
+            fold(x6 * y1 + x7 * y4 + x8 * y7),
+            fold(x6 * y2 + x7 * y5 + x8 * y8),
+        )
+
+
+class _TableField(_ExtensionField):
+    """GF(p^k), k >= 2, with q <= TABLE_FIELD_BOUND: the 3x3 product reads tables.
+
+    The q x q add and mul tables are built in the constructor from the
+    element operations and stored as q rows, so each lookup is two
+    subscripts.
+    """
+
+    def __init__(self, p: int, k: int, ext_poly: tuple[int, ...] | None = None):
+        super().__init__(p, k, ext_poly)
         q = range(self.cardinality)
-        add = [[self._add(u, v) for v in q] for u in q]
-        mul = [[self._mul(u, v) for v in q] for u in q]
-        return add, mul
+        self._add_rows = [[self._add(u, v) for v in q] for u in q]
+        self._mul_rows = [[self._mul(u, v) for v in q] for u in q]
 
     def _mat_mul(self, a, b):
-        tables = self._tables
-        if tables is None:
-            if self.cardinality > TABLE_FIELD_BOUND:
-                return self._poly_mat_mul(a, b)
-            tables = self._tables = self._build_tables()
-        add, mul = tables
+        add, mul = self._add_rows, self._mul_rows
         x0, x1, x2, x3, x4, x5, x6, x7, x8 = a
         r0, r1, r2 = mul[x0], mul[x1], mul[x2]
         r3, r4, r5 = mul[x3], mul[x4], mul[x5]
@@ -537,22 +556,6 @@ class _ExtensionField(GaloisField):
             add[add[r6[b0]][r7[b3]]][r8[b6]],
             add[add[r6[b1]][r7[b4]]][r8[b7]],
             add[add[r6[b2]][r7[b5]]][r8[b8]],
-        )
-
-    def _poly_mat_mul(self, a, b):
-        x0, x1, x2, x3, x4, x5, x6, x7, x8 = map(self._pack, a)
-        y0, y1, y2, y3, y4, y5, y6, y7, y8 = map(self._pack, b)
-        fold = self._fold
-        return (
-            fold(x0 * y0 + x1 * y3 + x2 * y6),
-            fold(x0 * y1 + x1 * y4 + x2 * y7),
-            fold(x0 * y2 + x1 * y5 + x2 * y8),
-            fold(x3 * y0 + x4 * y3 + x5 * y6),
-            fold(x3 * y1 + x4 * y4 + x5 * y7),
-            fold(x3 * y2 + x4 * y5 + x5 * y8),
-            fold(x6 * y0 + x7 * y3 + x8 * y6),
-            fold(x6 * y1 + x7 * y4 + x8 * y7),
-            fold(x6 * y2 + x7 * y5 + x8 * y8),
         )
 
 

@@ -46,21 +46,16 @@ class PolyhedronParams:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The six generator matrices for one parameter choice."""
+    """The three rotations that the closure multiplies, for one parameter choice."""
 
     ring: Ring
-    sigma0: Mat3
-    sigma1: Mat3
-    sigma2: Mat3
     rho_v: Mat3
     rho_e: Mat3
     rho_f: Mat3
 
     @classmethod
     def from_params(cls, params: PolyhedronParams) -> GeneratorSet:
-        s0, s1, s2 = make_sigmas(params)
-        rv, re, rf = make_rhos(params)
-        return cls(params.ring, s0, s1, s2, rv, re, rf)
+        return cls(params.ring, *make_rhos(params))
 
 
 def make_sigmas(params: PolyhedronParams) -> tuple[Mat3, Mat3, Mat3]:
@@ -151,20 +146,21 @@ class RelationSurvey:
 SURVEY_SEED = 1729
 
 
-def survey_relations(ring: Ring, trials: int, seed: int = SURVEY_SEED) -> RelationSurvey:
+def survey_relations(ring: Ring, trials: int) -> RelationSurvey:
     """Assert the relations over exhaustive or seeded-random parameter pairs.
 
     All pairs are checked when the ring has at most ``trials`` squared
-    elements; otherwise ``trials`` pairs are drawn with a fixed seed.
+    elements; otherwise ``trials`` pairs of codes are drawn with
+    ``SURVEY_SEED``, without listing the ring's elements.
     """
     card = ring.cardinality
     exhaustive = card * card <= trials
     if exhaustive:
         pairs = [(x, y) for x in ring.elements() for y in ring.elements()]
     else:
-        rng = random.Random(seed)
-        all_elems = list(ring.elements())
-        pairs = [(rng.choice(all_elems), rng.choice(all_elems)) for _ in range(trials)]
+        draw = random.Random(SURVEY_SEED).randrange
+        pairs = [(RingElem(ring, draw(card)), RingElem(ring, draw(card)))
+                 for _ in range(trials)]
     failures = []
     for x, y in pairs:
         report = verify_relations(PolyhedronParams(x, y))

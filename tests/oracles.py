@@ -231,8 +231,7 @@ def reference_fingerprint(group) -> tuple:
     Every element's order is found by repeated multiplication, and every
     center test computes both z*g and g*z.
     """
-    cap = max(group.order, 1)
-    counts = Counter(m.order(cap) for m in group.elements)
+    counts = Counter(m.order() for m in group.elements)
     gens = group.generators
     abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
     center = sum(1 for z in group.elements if all(z * g == g * z for g in gens))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from polyff import cli, groupgen, mat3, regmap
+from polyff import cli, groupgen, mat3, regmap, universal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,8 +24,12 @@ def test_tracer_wraps_and_restores(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer
 
-    originals = (cli.main, cli.generate, groupgen.generate, regmap.order_spectrum,
-                 vars(mat3.Mat3)["__mul__"], vars(mat3.Mat3)["order"])
+    def wrapped():
+        return (cli.main, cli.generate, groupgen.generate, regmap.order_spectrum,
+                vars(mat3.Mat3)["__mul__"], vars(mat3.Mat3)["order"],
+                vars(universal.GeneratorSet)["from_params"])
+
+    originals = wrapped()
     t = tracer.Tracer()
     try:
         t.install()  # a KeyError here names a wrapped function that is gone
@@ -37,10 +41,9 @@ def test_tracer_wraps_and_restores(monkeypatch):
         t.uninstall()
     assert code == 0 and out.getvalue()
     assert t.totals().products > 0
-    assert {s.name for s in t.spans} >= {"cli.main", "groupgen.closure", "groupgen.spectrum",
-                                         "regmap.analyze"}
-    assert (cli.main, cli.generate, groupgen.generate, regmap.order_spectrum,
-            vars(mat3.Mat3)["__mul__"], vars(mat3.Mat3)["order"]) == originals
+    assert {s.name for s in t.spans} >= {"cli.main", "universal.generators", "groupgen.closure",
+                                         "groupgen.spectrum", "regmap.analyze"}
+    assert wrapped() == originals
 
 
 @pytest.mark.parametrize("ring, x, y", [("zmod:7", "2", "3"), ("gf:2^2", "t", "t+1")])

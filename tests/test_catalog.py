@@ -165,6 +165,10 @@ def test_specialize_over_composite_modulus():
     with pytest.raises(BadPrime) as info:
         specialize("triangular_tiling", ZMod(6))
     assert info.value.primes == {2}
+    # the offending primes come from the denominators, not from factoring n
+    with pytest.raises(BadPrime) as info:
+        specialize("tetrahedron", ZMod(2**20))
+    assert (info.value.primes, info.value.param) == ({2}, "x")
 
 
 def test_specialize_sqrt_over_composite_rejected():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -114,7 +115,7 @@ def test_generator_determinants(spec):
 def test_generator_set_bundles_consistently():
     params = _params(ZMod(5), 0, 0)
     gens = GeneratorSet.from_params(params)
-    s0, s1, s2 = gens.sigma0, gens.sigma1, gens.sigma2
+    s0, s1, s2 = make_sigmas(params)
     # make_rhos returns (rho_v, rho_e, rho_f) in this order
     assert make_rhos(params) == (s1 * s2, s0 * s2, s0 * s1)
     assert make_rhos(params) == (gens.rho_v, gens.rho_e, gens.rho_f)
@@ -141,3 +142,16 @@ def test_survey_is_deterministic():
     a = survey_relations(ring_make("gf:101"), trials=30)
     b = survey_relations(ring_make("gf:101"), trials=30)
     assert a == b
+
+
+def test_sampled_survey_does_not_list_the_ring():
+    # a million-element field: the sampled pairs must not cost O(|R|) memory
+    ring = ring_make("gf:1000003")
+    tracemalloc.start()
+    try:
+        survey = survey_relations(ring, trials=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert survey.pairs_tested == 5 and survey.all_passed
+    assert peak < 2**20
