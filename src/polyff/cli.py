@@ -78,8 +78,11 @@ def _require_positive(**named: int) -> None:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PolyffError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -328,7 +331,8 @@ def _add_common(sub, ring=True, cap=True, fmt="json", darts=False):
     if cap:
         sub.add_argument("--cap", type=int, default=CLOSURE_CAP_DEFAULT,
                          help="closure element cap")
-    sub.add_argument("--format", choices=("json", "csv", "text"), default=fmt)
+    if fmt:
+        sub.add_argument("--format", choices=("json", "csv", "text"), default=fmt)
     sub.add_argument("--out", help="write output to this path instead of stdout")
     if darts:
         sub.add_argument("--darts", action="store_true",
@@ -373,12 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     re_ = subs.add_parser("relations", help="assert the defining relations over a ring")
     re_.add_argument("--trials", type=int, default=50,
                      help="sample size (exhaustive when the ring is small enough)")
-    _add_common(re_, cap=False)
+    _add_common(re_, cap=False, fmt=None)
     re_.set_defaults(func=cmd_relations)
 
     ca = subs.add_parser("catalog", help="dump the built-in parameter catalog")
-    ca.add_argument("--list", action="store_true", default=True,
-                    help="one JSON object per entry (default)")
     ca.add_argument("--out", help="write output to this path instead of stdout")
     ca.set_defaults(func=cmd_catalog)
     return parser

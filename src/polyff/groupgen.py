@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded, InvariantViolation, MixedRings, NonInvertibleGenerator
 from .mat3 import Mat3
-from .rings import Ring
 
 CLOSURE_CAP_DEFAULT = 10**6
 
@@ -41,36 +40,33 @@ class GroupFingerprint:
 
 
 class GeneratedGroup:
-    """The closure of a generator list: elements, generators, and Cayley edges.
+    """The closure of a generator list: its generators and Cayley table.
 
-    ``elements`` lists the group in discovery order, with ``elements[0]``
-    the identity.  ``generators`` lists the generator matrices in column
+    The elements are numbered in discovery order, with index 0 the
+    identity.  ``generators`` lists the generator matrices in column
     order, and ``cayley`` holds one column of element indices per
-    generator: ``cayley[g][i]`` is the index of ``elements[i] *
-    generators[g]``.  The map pipeline passes the rotations (rho_v, rho_e,
-    rho_f) in this order, so ``cayley[0..2]`` are their columns.  Instances
-    are immutable after construction.
+    generator: ``cayley[g][i]`` is the index of element i times
+    ``generators[g]``.  The map pipeline passes the rotations (rho_v,
+    rho_e, rho_f) in this order, so ``cayley[0..2]`` are their columns.
+    No other matrix is kept.  Instances are immutable after construction.
     """
 
-    def __init__(self, ring: Ring, elements: list[Mat3],
-                 generators: list[Mat3],
-                 cayley: list[list[int]]):
-        self.ring = ring
-        self.elements = elements
+    def __init__(self, generators: list[Mat3], cayley: list[list[int]]):
         self.generators = generators
         self.cayley = cayley
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.cayley[0])
 
 
 def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedGroup:
     """Breadth-first closure of the generators under right multiplication.
 
-    Deterministic: the element order depends only on the generator list.
-    Every edge i -> elements[i] * gens[g] is recorded in the Cayley table,
-    one int per edge, for every group size.
+    Deterministic: the element numbering depends only on the generator
+    list.  Every edge i -> (element i) * gens[g] is recorded in the Cayley
+    table, one int per edge, for every group size.  Each matrix is dropped
+    once its row of the table is filled.
     Raises CapExceeded (with the partial count) if the closure passes
     ``cap`` elements.
     """
@@ -84,24 +80,22 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
             raise NonInvertibleGenerator(f"generator determinant {g.det()} is not a unit")
 
     ident = Mat3.identity(ring)
-    elements = [ident]
     index = {ident.vals: 0}
     cayley: list[list[int]] = [[] for _ in gens]
-    i = 0
-    while i < len(elements):
-        a = elements[i]
+    frontier = deque([ident])
+    while frontier:
+        a = frontier.popleft()
         for g, column in zip(gens, cayley):
             b = a * g
             j = index.get(b.vals)
             if j is None:
-                j = len(elements)
+                j = len(index)
                 if j >= cap:
-                    raise CapExceeded(partial_count=len(elements), cap=cap)
+                    raise CapExceeded(partial_count=j, cap=cap)
                 index[b.vals] = j
-                elements.append(b)
+                frontier.append(b)
             column.append(j)
-        i += 1
-    return GeneratedGroup(ring, elements, list(gens), cayley)
+    return GeneratedGroup(list(gens), cayley)
 
 
 def _schreier_tree(cols: list[list[int]], n: int) -> tuple[array, bytearray]:

@@ -10,12 +10,14 @@ Nothing here imports the package under test.  Three oracles:
   product, against which the package's int-coded fields are compared.
 
 Two reference implementations, kept as the slow, direct algorithms that
-the package's faster ones are compared against (they take the package's
-objects as arguments but import nothing from it):
+the package's faster ones are compared against, and one rebuild of a
+closure's matrices (they take the package's objects as arguments but
+import nothing from it):
 
 * the order spectrum by each element's own ``order()`` and the center by
   two products per test;
-* map equivalence by trying every image of dart 0.
+* map equivalence by trying every image of dart 0;
+* a generated group's matrices, from its generators and Cayley table.
 """
 
 from __future__ import annotations
@@ -225,16 +227,34 @@ class TupleField:
 # ---------------------------------------------------------------------------
 # reference implementations
 
+def closure_elements(group) -> list:
+    """A generated group's matrices in index order, rebuilt from its table.
+
+    Index 0 is the identity.  The rows are read in index order, and each
+    index is first met on an edge i -> j; element j is then element i
+    times that edge's generator.
+    """
+    gens = group.generators
+    elements = [None] * group.order
+    elements[0] = type(gens[0]).identity(gens[0].ring)
+    for i, row in enumerate(zip(*group.cayley)):
+        for g, j in zip(gens, row):
+            if elements[j] is None:
+                elements[j] = elements[i] * g
+    return elements
+
+
 def reference_fingerprint(group) -> tuple:
     """(order, spectrum, abelian, center size) of a generated group.
 
     Every element's order is found by repeated multiplication, and every
     center test computes both z*g and g*z.
     """
-    counts = Counter(m.order() for m in group.elements)
+    elements = closure_elements(group)
+    counts = Counter(m.order() for m in elements)
     gens = group.generators
     abelian = all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
-    center = sum(1 for z in group.elements if all(z * g == g * z for g in gens))
+    center = sum(1 for z in elements if all(z * g == g * z for g in gens))
     return group.order, tuple(sorted(counts.items())), abelian, center
 
 

@@ -267,7 +267,7 @@ def test_relations_sampled(capsys):
 
 
 def test_catalog_dump(capsys):
-    code, out, _ = run(capsys, "catalog", "--list")
+    code, out, _ = run(capsys, "catalog")
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 8
@@ -291,6 +291,26 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     report = json.loads(target.read_text())
     assert report["group_order"] == 24 and report["recognized"] == "S4"
+
+
+def test_out_to_unopenable_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "analyze", "--ring", "zmod:5", "--x", "0", "--y", "0",
+                         "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"polyff: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations", "--ring", "gf:2", "--format", "csv"],
+    ["catalog", "--list"],
+], ids=["relations-format", "catalog-list"])
+def test_options_that_changed_nothing_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_two(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from polyff.errors import CapExceeded, InvariantViolation, NonInvertibleGenerator
@@ -21,6 +23,7 @@ from polyff.universal import PolyhedronParams, make_rhos
 
 from oracles import (
     alternating_spectrum,
+    closure_elements,
     closure_mod,
     closure_spectrum,
     reference_fingerprint,
@@ -117,19 +120,21 @@ def test_lagrange_on_generated_groups():
 
 def test_closure_idempotent():
     group = _rotation_group("gf:5", 0, 0)
-    regenerated = generate(group.elements)
+    regenerated = generate(closure_elements(group))
     assert regenerated.order == group.order
 
 
 def test_closure_is_closed_and_contains_identity():
     group = _rotation_group("zmod:4", 0, -1)
-    members = {m.vals for m in group.elements}
-    assert Mat3.identity(group.ring).vals in members
+    elements = closure_elements(group)
+    members = {m.vals for m in elements}
+    assert elements[0] == Mat3.identity(ZMod(4))
+    assert len(members) == group.order
     assert [len(column) for column in group.cayley] == [group.order] * 3
-    for i, m in enumerate(group.elements):
+    for i, m in enumerate(elements):
         for column, g in zip(group.cayley, group.generators):
             assert (m * g).vals in members
-            assert group.elements[column[i]] == m * g
+            assert elements[column[i]] == m * g
 
 
 def test_closure_matches_oracle_elements():
@@ -137,7 +142,7 @@ def test_closure_matches_oracle_elements():
     oracle_elems = closure_mod(list(gens), 5)
     group = _rotation_group("gf:5", 0, 0)
     assert group.order == len(oracle_elems)
-    assert {m.vals for m in group.elements} == set(oracle_elems)
+    assert {m.vals for m in closure_elements(group)} == set(oracle_elems)
 
 
 def test_spectrum_matches_oracle_spectrum():
@@ -164,9 +169,8 @@ def test_spectrum_rejects_unreached_index():
     group = _rotation_group("gf:5", 0, 0)
     n = group.order
     # one more element whose every edge is a self-loop: no path from index 0 reaches it
-    elements = group.elements + [group.elements[1]]
     cayley = [column + [n] for column in group.cayley]
-    broken = GeneratedGroup(group.ring, elements, group.generators, cayley)
+    broken = GeneratedGroup(group.generators, cayley)
     with pytest.raises(InvariantViolation, match="not reached"):
         order_spectrum(broken)
 
@@ -174,7 +178,7 @@ def test_spectrum_rejects_unreached_index():
 def test_spectrum_rejects_walk_longer_than_group():
     group = _rotation_group("gf:5", 0, 0)
     # 0 -> 1 -> 2 -> 2: the tree is intact, but the powers of element 1 never return to 0
-    broken = GeneratedGroup(group.ring, group.elements[:3], group.generators[:1], [[1, 2, 2]])
+    broken = GeneratedGroup(group.generators[:1], [[1, 2, 2]])
     with pytest.raises(InvariantViolation, match="do not reach index 0"):
         order_spectrum(broken)
 
@@ -182,8 +186,24 @@ def test_spectrum_rejects_walk_longer_than_group():
 def test_determinism_of_generation():
     a = _rotation_group("gf:5", 0, 0)
     b = _rotation_group("gf:5", 0, 0)
-    assert [m.vals for m in a.elements] == [m.vals for m in b.elements]
+    assert [m.vals for m in closure_elements(a)] == [m.vals for m in closure_elements(b)]
     assert a.cayley == b.cayley
+
+
+def test_group_holds_only_its_table():
+    # three int columns of a 24,360-element group: about 64 B per element;
+    # a matrix per element (Mat3 plus its nine-code tuple) would add about 160 B
+    ring = ring_make("zmod:29")
+    rhos = list(make_rhos(PolyhedronParams(ring.elem(2), ring.elem(3))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = generate(rhos)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert group.order == 24360
+    assert held / group.order < 100
 
 
 def test_cap_exceeded_reports_partial_count():
