@@ -100,21 +100,61 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim([v % p for v in a[:dm]])
 
 
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], m: tuple[int, ...],
+                 p: int) -> tuple[int, ...]:
+    """Product of a and b modulo the monic polynomial m, over F_p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                prod[i + j] += c * d
+    return _poly_mod(prod, m, p)
+
+
+def _poly_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Monic gcd of the monic polynomial a and of b, over F_p."""
+    while b:
+        # _poly_mod divides by monic polynomials only
+        inv = pow(b[-1], -1, p)
+        b = tuple(c * inv % p for c in b)
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
 def _poly_is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """Exhaustive trial division by monic polynomials of degree <= deg(m)/2."""
+    """Ben-Or's test for a monic m of degree k over F_p.
+
+    m is irreducible iff gcd(m, t^(p^i) - t) = 1 for i = 1 .. k/2: a
+    reducible m has an irreducible factor of degree d <= k/2, and t^(p^d) - t
+    is the product of the monic irreducibles whose degree divides d
+    (M. Ben-Or, FOCS 1981).  Each t^(p^i) mod m comes from the
+    previous one by square-and-multiply, so the test costs O(k log p)
+    products modulo m.
+    """
     k = len(m) - 1
     if k < 1:
         return False
-    for d in range(1, k // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            g = lower + (1,)
-            if not _poly_mod(m, g, p):
-                return False
+    h = (0, 1)
+    for _ in range(k // 2):
+        # h <- h^p mod m, by square-and-multiply over the bits of p
+        power = h
+        for bit in bin(p)[3:]:
+            power = _poly_mulmod(power, power, m, p)
+            if bit == "1":
+                power = _poly_mulmod(power, h, m, p)
+        h = power
+        diff = list(h) + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % p
+        if _poly_gcd(m, _poly_trim(diff), p) != (1,):
+            return False
     return True
 
 
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible of degree k over F_p, lowest coefficients first."""
+    """First monic irreducible of degree k over F_p, lowest coefficients first.
+
+    Candidates are tried in a fixed order, each by Ben-Or's test.
+    """
     for lower in itertools.product(range(p), repeat=k):
         # enumerate by the constant coefficient last so small polynomials win
         m = tuple(reversed(lower)) + (1,)
@@ -348,8 +388,9 @@ class ZMod(_Residues):
 class GaloisField(_Residues):
     """GF(p^k) as F_p[t]/(ext_poly) with a monic irreducible ext_poly.
 
-    When no polynomial is supplied, a monic irreducible of degree k is found
-    by exhaustive search (deterministic: smallest in the enumeration order).
+    When no polynomial is supplied, the first monic polynomial of degree k in
+    :func:`_find_irreducible`'s enumeration order that passes Ben-Or's
+    irreducibility test is used; a supplied one must pass the same test.
     Degree-1 fields use the convention ext_poly = t; their codes are the
     residues mod p, so they share Z/pZ's arithmetic.  For k >= 2 the
     constructor returns a subclass with coefficient arithmetic, chosen by

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here imports the package under test.  Three oracles:
+Nothing here imports the package under test.  Four oracles:
 
 * permutation-group enumeration (spectra of S_n, A_n by listing every
   permutation and taking cycle-length lcms);
 * a standalone matrix-closure enumerator over Z/nZ using plain integer
   tuples, with the rotation formulas written out independently;
 * GF(p^k) arithmetic on coefficient tuples, with a naive triple-loop 3x3
-  product, against which the package's int-coded fields are compared.
+  product, against which the package's int-coded fields are compared;
+* irreducibility over F_p by trial division by every monic polynomial of
+  degree up to half the degree.
 
 Two reference implementations, kept as the slow, direct algorithms that
 the package's faster ones are compared against, and one rebuild of a
@@ -222,6 +224,37 @@ class TupleField:
                     acc = self.add(acc, self.mul(a[3 * i + m], b[3 * m + j]))
                 out.append(acc)
         return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# irreducibility over F_p by trial division
+
+def poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Remainder of a modulo the monic polynomial m, over F_p."""
+    a = list(a)
+    dm = len(m) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] % p
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
+    a = [v % p for v in a[:dm]]
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def trial_division_irreducible(m: tuple[int, ...], p: int) -> bool:
+    """Exhaustive trial division by monic polynomials of degree <= deg(m)/2."""
+    k = len(m) - 1
+    if k < 1:
+        return False
+    for d in range(1, k // 2 + 1):
+        for lower in itertools.product(range(p), repeat=d):
+            g = lower + (1,)
+            if not poly_mod(m, g, p):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

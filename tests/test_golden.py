@@ -7,8 +7,11 @@ ring core (residues mod n, table-indexed GF(p^k) with q <= 64, polynomial
 GF(p^k) above) and the three output formats.  The two gf:2^2 analyses pin
 rotations of order 1 (rho_e and rho_f equal to the identity), whose
 Cayley-table columns map index 0 to itself.  The refusals pin the bad-prime
-report over a composite modulus (exit 3) and auto-extension from a field that
-is not prime (exit 2); the gf:101 relations survey pins the sampled path.
+report over a composite modulus (exit 3), auto-extension from a field that
+is not prime (exit 2) and the square-root search cap past cardinality 10^6
+(gf:1913, exit 2); the gf:101 relations survey pins the sampled path.  The
+gf:211^4 analysis pins the default quartic t^4+t+1, the first of
+``_find_irreducible``'s candidates over F_211 that is irreducible.
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -47,6 +50,10 @@ CASES = {
                                           "--ring", "zmod:21", "--auto-extend"],
     "specialize-dodecahedron-gf343-ext": ["specialize", "--solid", "dodecahedron",
                                           "--ring", "gf:7^3", "--auto-extend"],
+    "analyze-gf1982119441-x0-y0-text": ["analyze", "--ring", "gf:211^4", "--x", "0", "--y", "0",
+                                        "--format", "text"],
+    "specialize-icosahedron-gf1913-ext": ["specialize", "--solid", "icosahedron",
+                                          "--ring", "gf:1913", "--auto-extend"],
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import random
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyff import rings
 from polyff.errors import (
     MixedRings,
     ModulusTooSmall,
@@ -35,7 +37,7 @@ from polyff.rings import (
     sqrt_in_field,
 )
 
-from oracles import TupleField
+from oracles import TupleField, trial_division_irreducible
 
 RINGS = [
     ZMod(12),
@@ -86,6 +88,7 @@ def test_ring_make_explicit_poly():
     ("gf:6", NonPrimeCharacteristic),
     ("gf:4", NonPrimeCharacteristic),
     ("gf:2^2:t^2+1", ReduciblePolynomial),  # (t+1)^2 over F_2
+    ("gf:3^4:t^4+2t^2+1", ReduciblePolynomial),  # (t^2+1)^2 over F_3: no root
     ("gf:2^2:t+1", RingSpecError),  # degree mismatch
     ("nonsense", RingSpecError),
     ("zmod:x", RingSpecError),
@@ -93,6 +96,34 @@ def test_ring_make_explicit_poly():
 def test_ring_make_rejects(spec, exc):
     with pytest.raises(exc):
         ring_make(spec)
+
+
+def test_irreducibility_matches_trial_division():
+    for p in (2, 3, 5, 7):
+        for k in range(1, 5):
+            if p**k > 2500:
+                continue
+            for lower in itertools.product(range(p), repeat=k):
+                m = lower + (1,)
+                assert rings._poly_is_irreducible(m, p) == trial_division_irreducible(m, p), m
+    for p in filter(rings.is_prime, range(2000)):
+        m = (-5 % p, 0, 1)
+        assert rings._poly_is_irreducible(m, p) == trial_division_irreducible(m, p), p
+
+
+def test_irreducibility_cost_follows_log_p(monkeypatch):
+    calls = 0
+    poly_mod = rings._poly_mod
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return poly_mod(*args)
+
+    monkeypatch.setattr(rings, "_poly_mod", counted)
+    GaloisField(1913, 2, (-5 % 1913, 0, 1))
+    # a search over the 1913 monic linear divisors would make one call each
+    assert calls < 100
 
 
 def test_gf_degree_cap():
