@@ -2,12 +2,16 @@
 
 Closure is a breadth-first walk from the identity under right
 multiplication by the generators, which gives a deterministic element
-order (discovery order) for any fixed generator list.  The resulting
-group is summarized by an isomorphism-invariant fingerprint: order,
-multiset of element orders, abelian flag, and center size.  For the small
-groups named in the recognition table the fingerprint identifies the
-group; this is a lookup guarantee for table entries only, not a general
-isomorphism test.
+order (discovery order) for any fixed generator list.  The walk numbers
+each distinct row vector once, keys each element by its three row numbers,
+and multiplies a matrix only for a row image it has not seen, so its
+products follow the number of rows (about 3q^2 over a field of q
+elements), not the number of Cayley edges (three per element, about q^3
+elements).  The resulting group is summarized by an isomorphism-invariant
+fingerprint: order, multiset of element orders, abelian flag, and center
+size.  For the small groups named in the recognition table the
+fingerprint identifies the group; this is a lookup guarantee for table
+entries only, not a general isomorphism test.
 """
 
 from __future__ import annotations
@@ -65,8 +69,15 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
 
     Deterministic: the element numbering depends only on the generator
     list.  Every edge i -> (element i) * gens[g] is recorded in the Cayley
-    table, one int per edge, for every group size.  Each matrix is dropped
-    once its row of the table is filled.
+    table, one int per edge, for every group size.
+
+    The walk runs on row indices.  Each distinct row vector (three entry
+    codes) is numbered when first seen, and an element is the triple of
+    its rows' numbers.  Row r of a * g is (row r of a) * g, so each
+    generator keeps the image of every numbered row, filled lazily: an
+    edge multiplies a matrix only when one of its three row images is
+    still unknown, and that one product fills all three.  The elements,
+    their order and the table are those of a walk on whole matrices.
     Raises CapExceeded (with the partial count) if the closure passes
     ``cap`` elements.
     """
@@ -79,20 +90,42 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
         if not g.det().is_unit:
             raise NonInvertibleGenerator(f"generator determinant {g.det()} is not a unit")
 
-    ident = Mat3.identity(ring)
-    index = {ident.vals: 0}
+    ident = Mat3.identity(ring).vals
+    rows = [ident[0:3], ident[3:6], ident[6:9]]
+    row_index = {row: r for r, row in enumerate(rows)}
+    images: list[list] = [[None] * 3 for _ in gens]  # images[g][r]: number of rows[r] * gens[g]
+    start = (0, 1, 2)
+    index = {start: 0}
     cayley: list[list[int]] = [[] for _ in gens]
-    frontier = deque([ident])
+    frontier = deque([start])
     while frontier:
-        a = frontier.popleft()
-        for g, column in zip(gens, cayley):
-            b = a * g
-            j = index.get(b.vals)
+        r0, r1, r2 = frontier.popleft()
+        for g, image, column in zip(gens, images, cayley):
+            s0 = image[r0]
+            s1 = image[r1]
+            s2 = image[r2]
+            if s0 is None or s1 is None or s2 is None:
+                vals = (Mat3._raw(ring, rows[r0] + rows[r1] + rows[r2]) * g).vals
+                found = []
+                for row in (vals[0:3], vals[3:6], vals[6:9]):
+                    s = row_index.get(row)
+                    if s is None:
+                        s = row_index[row] = len(rows)
+                        rows.append(row)
+                        for other in images:
+                            other.append(None)
+                    found.append(s)
+                s0, s1, s2 = found
+                image[r0] = s0
+                image[r1] = s1
+                image[r2] = s2
+            b = (s0, s1, s2)
+            j = index.get(b)
             if j is None:
                 j = len(index)
                 if j >= cap:
                     raise CapExceeded(partial_count=j, cap=cap)
-                index[b.vals] = j
+                index[b] = j
                 frontier.append(b)
             column.append(j)
     return GeneratedGroup(list(gens), cayley)

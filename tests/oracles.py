@@ -11,11 +11,12 @@ Nothing here imports the package under test.  Four oracles:
 * irreducibility over F_p by trial division by every monic polynomial of
   degree up to half the degree.
 
-Two reference implementations, kept as the slow, direct algorithms that
+Three reference implementations, kept as the slow, direct algorithms that
 the package's faster ones are compared against, and one rebuild of a
 closure's matrices (they take the package's objects as arguments but
 import nothing from it):
 
+* a closure's Cayley table by a breadth-first walk on whole matrices;
 * the order spectrum by each element's own ``order()`` and the center by
   two products per test;
 * map equivalence by trying every image of dart 0;
@@ -213,6 +214,13 @@ class TupleField:
             e >>= 1
         return result
 
+    def code_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """q x q sum and product tables on codes, from the tuple arithmetic."""
+        elems = [self.from_code(c) for c in range(self.p ** self.k)]
+        add = [[self.to_code(self.add(u, v)) for v in elems] for u in elems]
+        mul = [[self.to_code(self.mul(u, v)) for v in elems] for u in elems]
+        return add, mul
+
     def mat_mul(self, a, b):
         """Row-major 3x3 product of nine-tuple matrices, by the triple loop."""
         zero = (0,) * self.k
@@ -275,6 +283,35 @@ def closure_elements(group) -> list:
             if elements[j] is None:
                 elements[j] = elements[i] * g
     return elements
+
+
+def table_mat_mul(add, mul):
+    """Row-major 3x3 product of code nine-tuples, by q x q sum and product tables."""
+    def product(a, b):
+        return tuple(add[add[mul[a[r]][b[c]]][mul[a[r + 1]][b[c + 3]]]][mul[a[r + 2]][b[c + 6]]]
+                     for r in (0, 3, 6) for c in (0, 1, 2))
+    return product
+
+
+def cayley_table(gens, ident, mul) -> list[list[int]]:
+    """Cayley table of the closure of ``gens``, by a plain matrix BFS.
+
+    Matrices are any hashable values and ``mul`` is their product (for
+    instance ``table_mat_mul``'s).  Elements are numbered in discovery
+    order from ``ident`` at index 0, and ``table[g][i]`` is the index of
+    element i times ``gens[g]``.
+    """
+    index = {ident: 0}
+    elements = [ident]
+    table = [[] for _ in gens]
+    for a in elements:  # grows while the walk runs
+        for g, column in zip(gens, table):
+            b = mul(a, g)
+            j = index.setdefault(b, len(elements))
+            if j == len(elements):
+                elements.append(b)
+            column.append(j)
+    return table
 
 
 def reference_fingerprint(group) -> tuple:

@@ -8,10 +8,11 @@ GF(p^k) above) and the three output formats.  The two gf:2^2 analyses pin
 rotations of order 1 (rho_e and rho_f equal to the identity), whose
 Cayley-table columns map index 0 to itself.  The refusals pin the bad-prime
 report over a composite modulus (exit 3), auto-extension from a field that
-is not prime (exit 2) and the square-root search cap past cardinality 10^6
-(gf:1913, exit 2); the gf:101 relations survey pins the sampled path.  The
-gf:211^4 analysis pins the default quartic t^4+t+1, the first of
-``_find_irreducible``'s candidates over F_211 that is irreducible.
+is not prime (exit 2), the square-root search cap past cardinality 10^6
+(gf:1913, exit 2) and a closure stopped by ``--cap`` (zmod:29, exit 4); the
+gf:101 relations survey pins the sampled path.  The gf:211^4 analysis pins
+the default quartic t^4+t+1, the first of ``_find_irreducible``'s candidates
+over F_211 that is irreducible.
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -54,6 +55,8 @@ CASES = {
                                         "--format", "text"],
     "specialize-icosahedron-gf1913-ext": ["specialize", "--solid", "icosahedron",
                                           "--ring", "gf:1913", "--auto-extend"],
+    "analyze-zmod29-cap10": ["analyze", "--ring", "zmod:29", "--x", "2", "--y", "3",
+                             "--cap", "10"],
 }
 
 

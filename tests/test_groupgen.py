@@ -22,13 +22,16 @@ from polyff.rings import GaloisField, ZMod, ring_make
 from polyff.universal import PolyhedronParams, make_rhos
 
 from oracles import (
+    TupleField,
     alternating_spectrum,
+    cayley_table,
     closure_elements,
     closure_mod,
     closure_spectrum,
     reference_fingerprint,
     rotations_mod,
     symmetric_spectrum,
+    table_mat_mul,
 )
 
 
@@ -145,6 +148,30 @@ def test_closure_matches_oracle_elements():
     assert {m.vals for m in closure_elements(group)} == set(oracle_elems)
 
 
+@pytest.mark.parametrize("spec", ["zmod:4", "zmod:6", "zmod:8", "zmod:9",
+                                  "gf:5", "gf:7", "gf:2^2", "gf:3^2"])
+def test_cayley_table_matches_plain_matrix_bfs(spec):
+    # the closure keys elements by row numbers; the oracle walks whole
+    # matrices, over composite moduli too
+    ring = ring_make(spec)
+    if isinstance(ring, ZMod):
+        n = ring.modulus
+        add = [[(u + v) % n for v in range(n)] for u in range(n)]
+        mul = [[u * v % n for v in range(n)] for u in range(n)]
+        one = 1
+    else:
+        field = TupleField(ring.modulus, ring.ext_poly)
+        add, mul = field.code_tables()
+        one = field.to_code((1,) + (0,) * (field.k - 1))
+    ident = tuple(one if i % 4 == 0 else 0 for i in range(9))
+    product = table_mat_mul(add, mul)
+    for x in ring.elements():
+        for y in ring.elements():
+            group = _rotation_group(spec, x, y)
+            gens = [g.vals for g in group.generators]
+            assert group.cayley == cayley_table(gens, ident, product), (spec, x, y)
+
+
 def test_spectrum_matches_oracle_spectrum():
     gens = rotations_mod(0, -1, 4)
     oracle = closure_spectrum(closure_mod(list(gens), 4), 4)
@@ -211,6 +238,30 @@ def test_cap_exceeded_reports_partial_count():
         _rotation_group("gf:5", 0, 0, cap=10)
     assert info.value.partial_count == 10
     assert info.value.cap == 10
+
+
+def test_cap_exceeded_before_numbering_every_row():
+    # about 10^12 distinct rows over Z/1000003Z: the walk must stop at the
+    # cap, not number rows ahead of the elements
+    with pytest.raises(CapExceeded) as info:
+        _rotation_group("zmod:1000003", 2, 3, cap=2000)
+    assert info.value.partial_count == 2000
+
+
+def test_closure_peak_memory_per_element():
+    # row-number triples as keys; nine-code tuple keys peak at 224-233 B
+    # per element on this group
+    ring = ring_make("zmod:29")
+    rhos = list(make_rhos(PolyhedronParams(ring.elem(2), ring.elem(3))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = generate(rhos)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert group.order == 24360
+    assert peak / group.order < 210
 
 
 def test_non_invertible_generator_rejected():
