@@ -9,6 +9,7 @@ failures).
 from __future__ import annotations
 
 import argparse
+from array import array
 import csv
 import functools
 import io
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .groupgen import CLOSURE_CAP_DEFAULT, GeneratedGroup, generate
-from .regmap import RegularMapReport, analyze, dart_model, maps_equivalent
+from .regmap import RegularMapReport, analyze, dart_model
 from .rings import Ring, ZMod, ring_make
 from .universal import GeneratorSet, PolyhedronParams, survey_relations
 
@@ -114,7 +115,7 @@ def _csv_values(d: dict) -> list[str]:
 
 
 def _attach_darts(d: dict, args, group: GeneratedGroup) -> None:
-    if getattr(args, "darts", False):
+    if args.darts:
         d["darts"] = dart_model(group).to_text()
 
 
@@ -180,12 +181,18 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _scan_row(ring: Ring, x, y, cap: int, want_model: bool):
-    """One scan cell: returns (row dict, dart model or None).
+def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
+    """One scan cell: returns (row dict, dart key or None).
 
     When the closure passes ``cap``, the row has ``cap_exceeded`` true and
     ``group_order`` holds the partial count: the number of elements found
     when the closure stopped, not the order of the group.
+
+    With ``exact``, the dart key is the bytes of the three dart permutations,
+    equal for two rows exactly when their maps are equivalent.  ``generate``
+    numbers the darts by a breadth-first walk from dart 0 (``order_spectrum``
+    rejects any other numbering).  The actions are regular, so a conjugating
+    bijection may be taken to fix dart 0, and along the walk it fixes all.
     """
     params = PolyhedronParams(x, y)
     try:
@@ -204,38 +211,9 @@ def _scan_row(ring: Ring, x, y, cap: int, want_model: bool):
            "degenerate": report.degenerate,
            "fingerprint": report.fingerprint.serialize(),
            "recognized": report.recognized, "cap_exceeded": False}
-    return row, dart_model(group) if want_model else None
-
-
-def _scan_classes(rows, models, exact: bool):
-    """Deduplicate rows into map classes, keyed by fingerprint (+ conjugacy)."""
-    classes: dict[str, dict] = {}
-    reps: dict[str, list] = {}
-    for row, model in zip(rows, models):
-        if row["cap_exceeded"]:
-            continue
-        fp = row["fingerprint"]
-        key = fp
-        if exact and model is not None:
-            bucket = reps.setdefault(fp, [])
-            match = None
-            for i, (rep_model, _) in enumerate(bucket):
-                if maps_equivalent(model, rep_model):
-                    match = i
-                    break
-            if match is None:
-                bucket.append((model, len(bucket)))
-                match = len(bucket) - 1
-            key = f"{fp}#{match}"
-        if key not in classes:
-            classes[key] = {"fingerprint": fp, "count": 0,
-                            "recognized": row["recognized"],
-                            "first_x": row["x"], "first_y": row["y"],
-                            "p": row["p"], "q": row["q"], "genus": row["genus"]}
-            if exact:
-                classes[key]["class"] = key
-        classes[key]["count"] += 1
-    return [classes[k] for k in sorted(classes)]
+    if not exact:
+        return row, None
+    return row, b"".join(array("l", perm).tobytes() for perm in dart_model(group).perms())
 
 
 def cmd_scan(args) -> int:
@@ -247,19 +225,36 @@ def cmd_scan(args) -> int:
             f"(limit {args.max_cardinality}; raise with --max-cardinality)")
     elements = list(ring.elements())
     pairs = [(x, y) for x in elements for y in elements]
-    want_model = args.exact_dedupe
+    exact = args.exact_dedupe
 
     def work(pair):
-        return _scan_row(ring, pair[0], pair[1], args.cap, want_model)
+        return _scan_row(ring, pair[0], pair[1], args.cap, exact)
 
     # imported here: only scan uses the pool, and the import adds about 0.4 MB RSS
     from concurrent.futures import ThreadPoolExecutor
 
+    rows = []
+    classes: dict[str, dict] = {}
+    numbers: dict[str, dict[bytes, int]] = {}  # per fingerprint: dart key -> k of "#k"
     with ThreadPoolExecutor(max_workers=args.width) as pool:
-        results = list(pool.map(work, pairs))
-    rows = [r for r, _ in results]
-    models = [m for _, m in results]
-    class_list = _scan_classes(rows, models, args.exact_dedupe)
+        for row, darts in pool.map(work, pairs):
+            rows.append(row)
+            if row["cap_exceeded"]:
+                continue
+            fp = key = row["fingerprint"]
+            if exact:
+                known = numbers.setdefault(fp, {})
+                key = f"{fp}#{known.setdefault(darts, len(known))}"
+            cls = classes.get(key)
+            if cls is None:
+                cls = classes[key] = {"fingerprint": fp, "count": 0,
+                                      "recognized": row["recognized"],
+                                      "first_x": row["x"], "first_y": row["y"],
+                                      "p": row["p"], "q": row["q"], "genus": row["genus"]}
+                if exact:
+                    cls["class"] = key
+            cls["count"] += 1
+    class_list = [classes[k] for k in sorted(classes)]
     cap_rows = sum(1 for r in rows if r["cap_exceeded"])
 
     if args.format == "csv":
@@ -383,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     re_.set_defaults(func=cmd_relations)
 
     ca = subs.add_parser("catalog", help="dump the built-in parameter catalog")
-    ca.add_argument("--out", help="write output to this path instead of stdout")
+    _add_common(ca, ring=False, cap=False, fmt=None)
     ca.set_defaults(func=cmd_catalog)
     return parser
 

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from contextlib import redirect_stdout
+import io
 import json
+import tracemalloc
 
 import pytest
 
-from polyff.cli import main
-from polyff.regmap import DartModel
+from polyff.cli import _scan_row, main, run_pipeline
+from polyff.groupgen import CLOSURE_CAP_DEFAULT
+from polyff.regmap import DartModel, dart_model, maps_equivalent
 from polyff.rings import ring_make
+from polyff.universal import PolyhedronParams
 
 REPORT_FIELDS = ["schema", "ring", "x", "y", "group_order", "p", "q", "e_order",
                  "V", "E", "F", "genus", "euler", "degenerate", "degeneracy_reason",
@@ -188,6 +193,60 @@ def test_scan_exact_dedupe(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all("class" in c for c in payload["classes"])
+
+
+# zmod:8 has one class per fingerprint; gf:3^2 splits 14 fingerprints into 41 classes
+@pytest.mark.parametrize("spec, n_classes", [("zmod:8", 9), ("gf:3^2", 41)])
+def test_exact_dedupe_classes_are_the_equivalence_partition(capsys, spec, n_classes):
+    # reference: a pairwise maps_equivalent search among each fingerprint's
+    # rows, numbering its classes in row order
+    ring = ring_make(spec)
+    buckets: dict[str, list] = {}  # fingerprint -> [(model, dart key, class)]
+    expected: dict[str, dict] = {}
+    for x in ring.elements():
+        for y in ring.elements():
+            row, key = _scan_row(ring, x, y, CLOSURE_CAP_DEFAULT, True)
+            model = dart_model(run_pipeline(PolyhedronParams(x, y))[0])
+            bucket = buckets.setdefault(row["fingerprint"], [])
+            match = [entry for entry in bucket if maps_equivalent(model, entry[0])]
+            if match:
+                assert match[0][1] == key  # equivalent rows share their key
+                cls = match[0][2]
+            else:
+                assert key not in [entry[1] for entry in bucket]
+                cls = expected[f"{row['fingerprint']}#{len(bucket)}"] = {
+                    "first_x": row["x"], "first_y": row["y"], "count": 0}
+                bucket.append((model, key, cls))
+            cls["count"] += 1
+    assert len(expected) == n_classes
+
+    code, out, _ = run(capsys, "scan", "--ring", spec, "--format", "json", "--exact-dedupe")
+    assert code == 0
+    got = {c["class"]: {"first_x": c["first_x"], "first_y": c["first_y"], "count": c["count"]}
+           for c in json.loads(out)["classes"]}
+    assert got == expected
+
+
+def _scan_peak(*flags):
+    """tracemalloc peak, in bytes, of one json scan of zmod:12."""
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["scan", "--ring", "zmod:12", "--format", "json", *flags]) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_dedupe_memory_stays_near_plain_scan():
+    # one dart key per class, not one dart model per row: a model per row
+    # peaks at about 3x the plain scan here
+    with redirect_stdout(io.StringIO()):
+        main(["scan", "--ring", "zmod:2", "--format", "json"])  # imports and parser out of the peaks
+    plain = _scan_peak()
+    exact = _scan_peak("--exact-dedupe")
+    assert exact <= 1.5 * plain, (exact, plain)
 
 
 @pytest.mark.parametrize("p", [5, 7])

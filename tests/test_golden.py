@@ -6,13 +6,14 @@ stdout and stderr are stored byte for byte in ``golden/<name>.out`` and
 ring core (residues mod n, table-indexed GF(p^k) with q <= 64, polynomial
 GF(p^k) above) and the three output formats.  The two gf:2^2 analyses pin
 rotations of order 1 (rho_e and rho_f equal to the identity), whose
-Cayley-table columns map index 0 to itself.  The refusals pin the bad-prime
-report over a composite modulus (exit 3), auto-extension from a field that
-is not prime (exit 2), the square-root search cap past cardinality 10^6
-(gf:1913, exit 2) and a closure stopped by ``--cap`` (zmod:29, exit 4); the
-gf:101 relations survey pins the sampled path.  The gf:211^4 analysis pins
-the default quartic t^4+t+1, the first of ``_find_irreducible``'s candidates
-over F_211 that is irreducible.
+Cayley-table columns map index 0 to itself.  The zmod:7 exact scan pins
+the ``#k`` numbering: 30 of its 44 classes have k >= 1.  The refusals pin
+the bad-prime report over a composite modulus (exit 3), auto-extension
+from a field that is not prime (exit 2), the square-root search cap past
+cardinality 10^6 (gf:1913, exit 2) and a closure stopped by ``--cap``
+(zmod:29, exit 4); the gf:101 relations survey pins the sampled path.
+The gf:211^4 analysis pins the default quartic t^4+t+1, the first of
+``_find_irreducible``'s candidates over F_211 that is irreducible.
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -37,6 +38,7 @@ CASES = {
     "scan-gf8-text": ["scan", "--ring", "gf:2^3", "--format", "text"],
     "scan-gf5-csv": ["scan", "--ring", "gf:5", "--format", "csv"],
     "scan-gf4-json-exact": ["scan", "--ring", "gf:2^2", "--format", "json", "--exact-dedupe"],
+    "scan-zmod7-json-exact": ["scan", "--ring", "zmod:7", "--format", "json", "--exact-dedupe"],
     "analyze-gf9-darts": ["analyze", "--ring", "gf:3^2", "--x", "t", "--y", "t+1", "--darts"],
     "specialize-icosahedron-gf7-ext": ["specialize", "--solid", "icosahedron", "--ring", "gf:7",
                                        "--auto-extend", "--darts"],

@@ -226,6 +226,8 @@ def test_one_candidate_agrees_with_reference_search(spec):
             for b in models:
                 expected = reference_equivalent(a.perms(), b.perms())
                 assert maps_equivalent(a, b) == expected
+                # walk-numbered models are equivalent exactly when equal
+                assert expected == (a.perms() == b.perms())
                 assert maps_equivalent(b, a) == expected
                 outcomes.add(expected)
     assert outcomes == {True, False}
