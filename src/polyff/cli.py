@@ -185,8 +185,9 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
     """One scan cell: returns (row dict, dart key or None).
 
     When the closure passes ``cap``, the row has ``cap_exceeded`` true and
-    ``group_order`` holds the partial count: the number of elements found
-    when the closure stopped, not the order of the group.
+    ``group_order`` holds the partial count, which is the cap: the group
+    has more elements, and the closure may have stopped in its row pass
+    before it walked any element.
 
     With ``exact``, the dart key is the bytes of the three dart permutations,
     equal for two rows exactly when their maps are equivalent.  ``generate``

@@ -64,7 +64,8 @@ class NonInvertibleGenerator(NotInvertible):
 class CapExceeded(PolyffError):
     """Group closure grew past the configured cap.
 
-    ``partial_count`` holds the number of elements found before aborting.
+    ``partial_count`` is the cap: the group has more elements than that.
+    The closure may stop in its row pass, before it walks any element.
     """
 
     def __init__(self, partial_count: int, cap: int):

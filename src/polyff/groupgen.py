@@ -2,16 +2,17 @@
 
 Closure is a breadth-first walk from the identity under right
 multiplication by the generators, which gives a deterministic element
-order (discovery order) for any fixed generator list.  The walk numbers
-each distinct row vector once, keys each element by its three row numbers,
-and multiplies a matrix only for a row image it has not seen, so its
-products follow the number of rows (about 3q^2 over a field of q
-elements), not the number of Cayley edges (three per element, about q^3
-elements).  The resulting group is summarized by an isomorphism-invariant
-fingerprint: order, multiset of element orders, abelian flag, and center
-size.  For the small groups named in the recognition table the
-fingerprint identifies the group; this is a lookup guarantee for table
-entries only, not a general isomorphism test.
+order (discovery order) for any fixed generator list.  It runs in two
+passes.  The first numbers the orbit of the identity rows, multiplying
+three stacked rows by each generator at a time, so its products follow
+the number of rows (about 3q^2 over a field of q elements), not the
+number of Cayley edges (three per element, about q^3 elements).  The
+second walks the elements as triples of row numbers and reads each edge
+from the row images, with no product.  The resulting group is summarized
+by an isomorphism-invariant fingerprint: order, multiset of element
+orders, abelian flag, and center size.  For the small groups named in
+the recognition table the fingerprint identifies the group; this is a
+lookup guarantee for table entries only, not a general isomorphism test.
 """
 
 from __future__ import annotations
@@ -71,15 +72,26 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
     list.  Every edge i -> (element i) * gens[g] is recorded in the Cayley
     table, one int per edge, for every group size.
 
-    The walk runs on row indices.  Each distinct row vector (three entry
-    codes) is numbered when first seen, and an element is the triple of
-    its rows' numbers.  Row r of a * g is (row r of a) * g, so each
-    generator keeps the image of every numbered row, filled lazily: an
-    edge multiplies a matrix only when one of its three row images is
-    still unknown, and that one product fills all three.  The elements,
-    their order and the table are those of a walk on whole matrices.
-    Raises CapExceeded (with the partial count) if the closure passes
-    ``cap`` elements.
+    Row r of a * g is (row r of a) * g, so the closure runs in two passes
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, ch. 4:
+    the orbit first, then a walk on it):
+
+    1. Row orbit.  The rows of the elements are the orbit of the three
+       identity rows.  Each distinct row vector (three entry codes) is
+       numbered when first seen; the next three rows whose images are
+       unknown are stacked into one matrix and multiplied by each
+       generator.  R rows cost ceil(R / 3) products per generator, plus
+       one for each batch of fewer than three rows after which new rows
+       still turn up.
+    2. Element walk.  An element is the triple of its rows' numbers, and
+       its image under generator g is the triple of their images, so the
+       walk makes no product: one dict lookup per edge.
+
+    The elements, their order and the table are those of a walk on whole
+    matrices.  Raises CapExceeded if the closure passes ``cap`` elements:
+    during the walk, or in the orbit pass once it numbers more than 3 * cap
+    rows (every row is a row of an element, so the group is then larger
+    than ``cap``).  Either way ``partial_count`` is ``cap``.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -90,36 +102,39 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
         if not g.det().is_unit:
             raise NonInvertibleGenerator(f"generator determinant {g.det()} is not a unit")
 
+    # pass 1: number the row orbit; images[g][r] is the number of rows[r] * gens[g]
     ident = Mat3.identity(ring).vals
     rows = [ident[0:3], ident[3:6], ident[6:9]]
     row_index = {row: r for r, row in enumerate(rows)}
-    images: list[list] = [[None] * 3 for _ in gens]  # images[g][r]: number of rows[r] * gens[g]
+    images: list[list[int]] = [[] for _ in gens]
+    done = 0
+    while done < len(rows):
+        if len(rows) > 3 * cap:
+            raise CapExceeded(partial_count=cap, cap=cap)
+        batch = rows[done:done + 3]
+        done += len(batch)
+        # a short batch is padded with identity rows, whose images are dropped
+        stacked = Mat3._raw(ring, sum(batch, ()) + ident[3 * len(batch):])
+        for g, image in zip(gens, images):
+            vals = (stacked * g).vals
+            for i in range(0, 3 * len(batch), 3):
+                row = vals[i:i + 3]
+                s = row_index.get(row)
+                if s is None:
+                    s = row_index[row] = len(rows)
+                    rows.append(row)
+                image.append(s)
+
+    # pass 2: walk the elements; row_images[r] holds row r's image numbers in generator order
+    row_images = list(zip(*images))
+    del rows, row_index, images
     start = (0, 1, 2)
     index = {start: 0}
-    cayley: list[list[int]] = [[] for _ in gens]
+    table: list[int] = []
     frontier = deque([start])
     while frontier:
         r0, r1, r2 = frontier.popleft()
-        for g, image, column in zip(gens, images, cayley):
-            s0 = image[r0]
-            s1 = image[r1]
-            s2 = image[r2]
-            if s0 is None or s1 is None or s2 is None:
-                vals = (Mat3._raw(ring, rows[r0] + rows[r1] + rows[r2]) * g).vals
-                found = []
-                for row in (vals[0:3], vals[3:6], vals[6:9]):
-                    s = row_index.get(row)
-                    if s is None:
-                        s = row_index[row] = len(rows)
-                        rows.append(row)
-                        for other in images:
-                            other.append(None)
-                    found.append(s)
-                s0, s1, s2 = found
-                image[r0] = s0
-                image[r1] = s1
-                image[r2] = s2
-            b = (s0, s1, s2)
+        for b in zip(row_images[r0], row_images[r1], row_images[r2]):
             j = index.get(b)
             if j is None:
                 j = len(index)
@@ -127,8 +142,10 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
                     raise CapExceeded(partial_count=j, cap=cap)
                 index[b] = j
                 frontier.append(b)
-            column.append(j)
-    return GeneratedGroup(list(gens), cayley)
+            table.append(j)
+    del index  # before the columns copy the table: the walk's peak is here
+    k = len(gens)
+    return GeneratedGroup(list(gens), [table[g::k] for g in range(k)])
 
 
 def _schreier_tree(cols: list[list[int]], n: int) -> tuple[array, bytearray]:

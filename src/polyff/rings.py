@@ -17,7 +17,8 @@ text is parsed and printed only at the I/O boundary.
 
 * Z/nZ and GF(p): an unrolled (sum a*b) % n;
 * GF(p^k), k >= 2, q <= TABLE_FIELD_BOUND (64): lookups in q x q add and
-  mul tables, built when the field is constructed;
+  mul tables, built when the field is constructed (the field's element
+  operations read the same tables);
 * GF(p^k), k >= 2, q > 64: the 18 entries are unpacked into coefficients
   once, multiplied as polynomials, folded by ext_poly and re-encoded, since
   tables cost O(q^2) to build.
@@ -567,18 +568,33 @@ class _ExtensionField(GaloisField):
 
 
 class _TableField(_ExtensionField):
-    """GF(p^k), k >= 2, with q <= TABLE_FIELD_BOUND: the 3x3 product reads tables.
+    """GF(p^k), k >= 2, with q <= TABLE_FIELD_BOUND: every operation reads tables.
 
-    The q x q add and mul tables are built in the constructor from the
-    element operations and stored as q rows, so each lookup is two
-    subscripts.
+    The q x q add and mul tables and the q negations are built in the
+    constructor from :class:`_ExtensionField`'s coefficient operations.  The
+    tables are stored as q rows, so each lookup is two subscripts, and
+    subtraction adds the negation.
     """
 
     def __init__(self, p: int, k: int, ext_poly: tuple[int, ...] | None = None):
         super().__init__(p, k, ext_poly)
         q = range(self.cardinality)
-        self._add_rows = [[self._add(u, v) for v in q] for u in q]
-        self._mul_rows = [[self._mul(u, v) for v in q] for u in q]
+        add, mul, neg = _ExtensionField._add, _ExtensionField._mul, _ExtensionField._neg
+        self._add_rows = [[add(self, u, v) for v in q] for u in q]
+        self._mul_rows = [[mul(self, u, v) for v in q] for u in q]
+        self._negs = [neg(self, u) for u in q]
+
+    def _add(self, u, v):
+        return self._add_rows[u][v]
+
+    def _sub(self, u, v):
+        return self._add_rows[u][self._negs[v]]
+
+    def _neg(self, u):
+        return self._negs[u]
+
+    def _mul(self, u, v):
+        return self._mul_rows[u][v]
 
     def _mat_mul(self, a, b):
         add, mul = self._add_rows, self._mul_rows

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import pytest
@@ -19,7 +20,7 @@ from polyff.groupgen import (
 )
 from polyff.mat3 import Mat3
 from polyff.rings import GaloisField, ZMod, ring_make
-from polyff.universal import PolyhedronParams, make_rhos
+from polyff.universal import PolyhedronParams, make_rhos, make_sigmas
 
 from oracles import (
     TupleField,
@@ -148,12 +149,8 @@ def test_closure_matches_oracle_elements():
     assert {m.vals for m in closure_elements(group)} == set(oracle_elems)
 
 
-@pytest.mark.parametrize("spec", ["zmod:4", "zmod:6", "zmod:8", "zmod:9",
-                                  "gf:5", "gf:7", "gf:2^2", "gf:3^2"])
-def test_cayley_table_matches_plain_matrix_bfs(spec):
-    # the closure keys elements by row numbers; the oracle walks whole
-    # matrices, over composite moduli too
-    ring = ring_make(spec)
+def _matrix_bfs_inputs(ring):
+    """The identity and a table-driven matrix product for ``cayley_table``."""
     if isinstance(ring, ZMod):
         n = ring.modulus
         add = [[(u + v) % n for v in range(n)] for u in range(n)]
@@ -164,12 +161,39 @@ def test_cayley_table_matches_plain_matrix_bfs(spec):
         add, mul = field.code_tables()
         one = field.to_code((1,) + (0,) * (field.k - 1))
     ident = tuple(one if i % 4 == 0 else 0 for i in range(9))
-    product = table_mat_mul(add, mul)
+    return ident, table_mat_mul(add, mul)
+
+
+@pytest.mark.parametrize("spec", ["zmod:4", "zmod:6", "zmod:8", "zmod:9",
+                                  "gf:5", "gf:7", "gf:2^2", "gf:3^2"])
+def test_cayley_table_matches_plain_matrix_bfs(spec):
+    # the closure keys elements by row numbers; the oracle walks whole
+    # matrices, over composite moduli too
+    ring = ring_make(spec)
+    ident, product = _matrix_bfs_inputs(ring)
     for x in ring.elements():
         for y in ring.elements():
             group = _rotation_group(spec, x, y)
             gens = [g.vals for g in group.generators]
             assert group.cayley == cayley_table(gens, ident, product), (spec, x, y)
+
+
+@pytest.mark.parametrize("picks", [(0,), (0, 1), (0, 1, 2, 3)],
+                         ids=["rho_v", "rho_v,rho_e", "rhos,sigma0"])
+@pytest.mark.parametrize("spec", ["zmod:8", "gf:3^2"])
+def test_cayley_table_matches_plain_matrix_bfs_for_other_generator_counts(spec, picks):
+    # one closure path serves any number of generators
+    ring = ring_make(spec)
+    ident, product = _matrix_bfs_inputs(ring)
+    for x in ring.elements():
+        for y in ring.elements():
+            params = PolyhedronParams(x, y)
+            pool = list(make_rhos(params)) + [make_sigmas(params)[0]]
+            gens = [pool[i] for i in picks]
+            group = generate(gens)
+            assert len(group.cayley) == len(gens)
+            assert group.cayley == cayley_table([g.vals for g in gens], ident, product), \
+                (spec, picks, x, y)
 
 
 def test_spectrum_matches_oracle_spectrum():
@@ -240,12 +264,27 @@ def test_cap_exceeded_reports_partial_count():
     assert info.value.cap == 10
 
 
-def test_cap_exceeded_before_numbering_every_row():
-    # about 10^12 distinct rows over Z/1000003Z: the walk must stop at the
-    # cap, not number rows ahead of the elements
+def test_cap_exceeded_before_numbering_every_row(monkeypatch):
+    # about 10^12 distinct rows over Z/1000003Z: the row pass must stop once
+    # it numbers more than 3 * cap rows, since every row is a row of an element
+    ring = ring_make("zmod:1000003")
+    rhos = list(make_rhos(PolyhedronParams(ring.elem(2), ring.elem(3))))
+    products = 0
+    product = Mat3.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Mat3, "__mul__", counted)
+    cap = 2000
     with pytest.raises(CapExceeded) as info:
-        _rotation_group("zmod:1000003", 2, 3, cap=2000)
-    assert info.value.partial_count == 2000
+        generate(rhos, cap=cap)
+    assert info.value.partial_count == cap
+    # one product per generator for each batch of three rows; a batch starts
+    # only while at most 3 * cap rows are numbered, and one adds at most 9
+    assert products <= 3 * math.ceil((3 * cap + 9) / 3)
 
 
 def test_closure_peak_memory_per_element():
