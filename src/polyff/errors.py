@@ -71,7 +71,8 @@ class CapExceeded(PolyffError):
     def __init__(self, partial_count: int, cap: int):
         self.partial_count = partial_count
         self.cap = cap
-        super().__init__(f"closure exceeded cap {cap} (found {partial_count} elements so far)")
+        super().__init__(
+            f"closure exceeded cap {cap} (the group has more than {partial_count} elements)")
 
 
 # ---------------------------------------------------------------------------

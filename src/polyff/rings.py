@@ -19,9 +19,14 @@ text is parsed and printed only at the I/O boundary.
 * GF(p^k), k >= 2, q <= TABLE_FIELD_BOUND (64): lookups in q x q add and
   mul tables, built when the field is constructed (the field's element
   operations read the same tables);
-* GF(p^k), k >= 2, q > 64: the 18 entries are unpacked into coefficients
-  once, multiplied as polynomials, folded by ext_poly and re-encoded, since
-  tables cost O(q^2) to build.
+* GF(p^2), q > 64: the 18 entries are split once into their two base-p
+  digits, each entry's constant, cross and top products are summed
+  unreduced, and t^2 is folded once per entry;
+* GF(p^k), k = 3 or 4, q > 64: the 18 entries are packed into ints once
+  (Kronecker substitution), multiplied as polynomials, folded by ext_poly
+  and re-encoded.
+
+Above 64 no tables are built, since they cost O(q^2).
 
 Ring specification grammar (used by :func:`ring_make` and the CLI)::
 
@@ -395,8 +400,9 @@ class GaloisField(_Residues):
     Degree-1 fields use the convention ext_poly = t; their codes are the
     residues mod p, so they share Z/pZ's arithmetic.  For k >= 2 the
     constructor returns a subclass with coefficient arithmetic, chosen by
-    q = p^k: a :class:`_TableField` up to TABLE_FIELD_BOUND, an
-    :class:`_ExtensionField` above.
+    q = p^k and k: a :class:`_TableField` up to TABLE_FIELD_BOUND; above it
+    a :class:`_QuadraticField` for k = 2 and an :class:`_ExtensionField`
+    for k = 3 and 4.
     """
 
     kind = "gf"
@@ -405,8 +411,9 @@ class GaloisField(_Residues):
         if k < 2:
             return super().__new__(cls)
         # test k first: __init__ refuses a large k, and p**k could be huge
-        small = k <= MAX_EXTENSION_DEGREE and p**k <= TABLE_FIELD_BOUND
-        return super().__new__(_TableField if small else _ExtensionField)
+        if k <= MAX_EXTENSION_DEGREE and p**k <= TABLE_FIELD_BOUND:
+            return super().__new__(_TableField)
+        return super().__new__(_QuadraticField if k == 2 else _ExtensionField)
 
     def __init__(self, p: int, k: int = 1, ext_poly: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -468,6 +475,10 @@ class GaloisField(_Residues):
 
 class _ExtensionField(GaloisField):
     """GF(p^k) for k >= 2: each operation works on the coefficients of codes.
+
+    The class serves k = 3 and 4 above TABLE_FIELD_BOUND; its subclasses
+    serve the rest of k >= 2 (:class:`_TableField` builds its tables from
+    these operations, :class:`_QuadraticField` overrides them).
 
     Products use Kronecker substitution: a polynomial is packed into one
     int with ``_shift`` bits per coefficient, wide enough that a sum of three
@@ -564,6 +575,92 @@ class _ExtensionField(GaloisField):
             fold(x6 * y0 + x7 * y3 + x8 * y6),
             fold(x6 * y1 + x7 * y4 + x8 * y7),
             fold(x6 * y2 + x7 * y5 + x8 * y8),
+        )
+
+
+class _QuadraticField(_ExtensionField):
+    """GF(p^2) with q > TABLE_FIELD_BOUND: straight-line arithmetic on two digits.
+
+    The code u = c0*p + c1 stands for c0 + c1*t, and t^2 = r0 + r1*t with
+    (r0, r1) = ``_reduction``, so (a0 + a1*t)(b0 + b1*t) has the constant
+    term a0*b0 + r0*h and the t term a0*b1 + a1*b0 + r1*h, h = a1*b1.
+    The 3x3 product splits its 18 codes once and sums each entry's three
+    terms unreduced before it folds t^2 and reduces mod p, twice per entry.
+    """
+
+    def _add(self, u, v):
+        p = self.modulus
+        a0, a1 = divmod(u, p)
+        b0, b1 = divmod(v, p)
+        return (a0 + b0) % p * p + (a1 + b1) % p
+
+    def _sub(self, u, v):
+        p = self.modulus
+        a0, a1 = divmod(u, p)
+        b0, b1 = divmod(v, p)
+        return (a0 - b0) % p * p + (a1 - b1) % p
+
+    def _neg(self, u):
+        p = self.modulus
+        a0, a1 = divmod(u, p)
+        return -a0 % p * p + -a1 % p
+
+    def _mul(self, u, v):
+        p = self.modulus
+        r0, r1 = self._reduction
+        a0, a1 = divmod(u, p)
+        b0, b1 = divmod(v, p)
+        h = a1 * b1
+        return (a0 * b0 + r0 * h) % p * p + (a0 * b1 + a1 * b0 + r1 * h) % p
+
+    def _inv(self, u):
+        if not u:
+            raise NotAUnit(f"0 is not invertible in {self}")
+        p = self.modulus
+        r0, r1 = self._reduction
+        a0, a1 = divmod(u, p)
+        # u times its conjugate a0 + r1*a1 - a1*t is the norm, an element of F_p
+        n = pow((a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1) % p, -1, p)
+        return (a0 + r1 * a1) * n % p * p + -a1 * n % p
+
+    def _mat_mul(self, a, b):
+        # unrolled: this is the closure hot loop over GF(p^2)
+        p = self.modulus
+        r0, r1 = self._reduction
+        # aid, bid: digit d (0 the constant term) of entry i, row-major
+        (a00, a01), (a10, a11), (a20, a21), (a30, a31), (a40, a41), (a50, a51), \
+            (a60, a61), (a70, a71), (a80, a81) = [divmod(u, p) for u in a]
+        (b00, b01), (b10, b11), (b20, b21), (b30, b31), (b40, b41), (b50, b51), \
+            (b60, b61), (b70, b71), (b80, b81) = [divmod(u, p) for u in b]
+        # the top (t^2) sum of each entry
+        h0 = a01 * b01 + a11 * b31 + a21 * b61
+        h1 = a01 * b11 + a11 * b41 + a21 * b71
+        h2 = a01 * b21 + a11 * b51 + a21 * b81
+        h3 = a31 * b01 + a41 * b31 + a51 * b61
+        h4 = a31 * b11 + a41 * b41 + a51 * b71
+        h5 = a31 * b21 + a41 * b51 + a51 * b81
+        h6 = a61 * b01 + a71 * b31 + a81 * b61
+        h7 = a61 * b11 + a71 * b41 + a81 * b71
+        h8 = a61 * b21 + a71 * b51 + a81 * b81
+        return (
+            (a00 * b00 + a10 * b30 + a20 * b60 + r0 * h0) % p * p
+            + (a00 * b01 + a01 * b00 + a10 * b31 + a11 * b30 + a20 * b61 + a21 * b60 + r1 * h0) % p,
+            (a00 * b10 + a10 * b40 + a20 * b70 + r0 * h1) % p * p
+            + (a00 * b11 + a01 * b10 + a10 * b41 + a11 * b40 + a20 * b71 + a21 * b70 + r1 * h1) % p,
+            (a00 * b20 + a10 * b50 + a20 * b80 + r0 * h2) % p * p
+            + (a00 * b21 + a01 * b20 + a10 * b51 + a11 * b50 + a20 * b81 + a21 * b80 + r1 * h2) % p,
+            (a30 * b00 + a40 * b30 + a50 * b60 + r0 * h3) % p * p
+            + (a30 * b01 + a31 * b00 + a40 * b31 + a41 * b30 + a50 * b61 + a51 * b60 + r1 * h3) % p,
+            (a30 * b10 + a40 * b40 + a50 * b70 + r0 * h4) % p * p
+            + (a30 * b11 + a31 * b10 + a40 * b41 + a41 * b40 + a50 * b71 + a51 * b70 + r1 * h4) % p,
+            (a30 * b20 + a40 * b50 + a50 * b80 + r0 * h5) % p * p
+            + (a30 * b21 + a31 * b20 + a40 * b51 + a41 * b50 + a50 * b81 + a51 * b80 + r1 * h5) % p,
+            (a60 * b00 + a70 * b30 + a80 * b60 + r0 * h6) % p * p
+            + (a60 * b01 + a61 * b00 + a70 * b31 + a71 * b30 + a80 * b61 + a81 * b60 + r1 * h6) % p,
+            (a60 * b10 + a70 * b40 + a80 * b70 + r0 * h7) % p * p
+            + (a60 * b11 + a61 * b10 + a70 * b41 + a71 * b40 + a80 * b71 + a81 * b70 + r1 * h7) % p,
+            (a60 * b20 + a70 * b50 + a80 * b80 + r0 * h8) % p * p
+            + (a60 * b21 + a61 * b20 + a70 * b51 + a71 * b50 + a80 * b81 + a81 * b80 + r1 * h8) % p,
         )
 
 

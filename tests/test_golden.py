@@ -2,11 +2,13 @@
 
 ``golden/cases.json`` names each command with its argv and exit code; its
 stdout and stderr are stored byte for byte in ``golden/<name>.out`` and
-``golden/<name>.err``.  The cases cover the three 3x3 product paths of the
-ring core (residues mod n, table-indexed GF(p^k) with q <= 64, polynomial
-GF(p^k) above) and the three output formats.  The two gf:2^2 analyses pin
-rotations of order 1 (rho_e and rho_f equal to the identity), whose
-Cayley-table columns map index 0 to itself.  The zmod:7 exact scan pins
+``golden/<name>.err``.  The cases cover the four 3x3 product paths of the
+ring core (residues mod n; table-indexed GF(p^k) with q <= 64; above 64,
+two-digit GF(p^2), as in the gf:43 auto-extension, and Kronecker-packed
+GF(p^3) and GF(p^4), as in gf:7^3 and gf:211^4) and the three output
+formats.  The two gf:2^2 analyses pin rotations of order 1 (rho_e and
+rho_f equal to the identity), whose Cayley-table columns map index 0 to
+itself.  The zmod:7 exact scan pins
 the ``#k`` numbering: 30 of its 44 classes have k >= 1.  The refusals pin
 the bad-prime report over a composite modulus (exit 3), auto-extension
 from a field that is not prime (exit 2), the square-root search cap past

@@ -29,6 +29,8 @@ from polyff.mat3 import Mat3
 from polyff.rings import (
     GaloisField,
     QuadRational,
+    _ExtensionField,
+    _QuadraticField,
     _TableField,
     RingElem,
     ZMod,
@@ -137,7 +139,8 @@ def test_ring_equality():
 
 
 def test_rings_survive_pickling():
-    for ring in RINGS:
+    # one ring above TABLE_FIELD_BOUND for each class the constructor picks there
+    for ring in RINGS + [ring_make("gf:11^2"), ring_make("gf:5^3")]:
         copy = pickle.loads(pickle.dumps(ring))
         assert copy == ring and type(copy) is type(ring)
         assert copy.one + copy.one == copy.from_int(2)
@@ -216,18 +219,23 @@ def test_ring_axioms_spot_check(data):
     assert a + (-a) == ring.zero
 
 
-@pytest.mark.parametrize("spec, tables", [
+@pytest.mark.parametrize("spec, cls", [
     # every pair, through the q x q tables
-    ("gf:2^2", True), ("gf:2^3", True), ("gf:3^2", True), ("gf:7^2", True),
-    # 2,000 seeded pairs and the all-(p-1) element, through polynomial products
-    ("gf:43^2", False), ("gf:503^2:t^2+498", False),
+    ("gf:2^2", _TableField), ("gf:2^3", _TableField), ("gf:3^2", _TableField),
+    ("gf:7^2", _TableField),
+    # 2,000 seeded pairs and the all-(p-1) element, through two-digit products;
+    # t^2 = -t - 1 is the one reduction here with a t term (-3 is not a square mod 101)
+    ("gf:43^2", _QuadraticField), ("gf:503^2:t^2+498", _QuadraticField),
+    ("gf:101^2:t^2+t+1", _QuadraticField),
+    # the same, through Kronecker-packed polynomial products
+    ("gf:5^3", _ExtensionField), ("gf:3^4", _ExtensionField),
 ])
-def test_extension_arithmetic_matches_tuple_oracle(spec, tables):
+def test_extension_arithmetic_matches_tuple_oracle(spec, cls):
     ring = ring_make(spec)
     oracle = TupleField(ring.modulus, ring.ext_poly)
     q = ring.cardinality
     rng = random.Random(spec)
-    if tables:
+    if cls is _TableField:
         assert [oracle.from_code(u) for u in range(q)] == list(oracle.tuples())
         pairs = [(u, v) for u in range(q) for v in range(q)]
     else:
@@ -255,7 +263,7 @@ def test_extension_arithmetic_matches_tuple_oracle(spec, tables):
         assert (-x).val == code(oracle.neg(tup(u)))
         if u:
             assert x.inv().val == code(oracle.inv(tup(u)))
-    assert isinstance(ring, _TableField) == tables
+    assert type(ring) is cls
 
 
 def test_racing_table_builds_give_equal_products():
