@@ -231,30 +231,26 @@ def cmd_scan(args) -> int:
     def work(pair):
         return _scan_row(ring, pair[0], pair[1], args.cap, exact)
 
-    # imported here: only scan uses the pool, and the import adds about 0.4 MB RSS
-    from concurrent.futures import ThreadPoolExecutor
-
     rows = []
     classes: dict[str, dict] = {}
     numbers: dict[str, dict[bytes, int]] = {}  # per fingerprint: dart key -> k of "#k"
-    with ThreadPoolExecutor(max_workers=args.width) as pool:
-        for row, darts in pool.map(work, pairs):
-            rows.append(row)
-            if row["cap_exceeded"]:
-                continue
-            fp = key = row["fingerprint"]
+    for row, darts in map(work, pairs):
+        rows.append(row)
+        if row["cap_exceeded"]:
+            continue
+        fp = key = row["fingerprint"]
+        if exact:
+            known = numbers.setdefault(fp, {})
+            key = f"{fp}#{known.setdefault(darts, len(known))}"
+        cls = classes.get(key)
+        if cls is None:
+            cls = classes[key] = {"fingerprint": fp, "count": 0,
+                                  "recognized": row["recognized"],
+                                  "first_x": row["x"], "first_y": row["y"],
+                                  "p": row["p"], "q": row["q"], "genus": row["genus"]}
             if exact:
-                known = numbers.setdefault(fp, {})
-                key = f"{fp}#{known.setdefault(darts, len(known))}"
-            cls = classes.get(key)
-            if cls is None:
-                cls = classes[key] = {"fingerprint": fp, "count": 0,
-                                      "recognized": row["recognized"],
-                                      "first_x": row["x"], "first_y": row["y"],
-                                      "p": row["p"], "q": row["q"], "genus": row["genus"]}
-                if exact:
-                    cls["class"] = key
-            cls["count"] += 1
+                cls["class"] = key
+        cls["count"] += 1
     class_list = [classes[k] for k in sorted(classes)]
     cap_rows = sum(1 for r in rows if r["cap_exceeded"])
 
@@ -365,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     gr.set_defaults(func=cmd_grid)
 
     sc = subs.add_parser("scan", help="run every (x, y) pair of a small ring")
-    sc.add_argument("--width", type=int, default=1, help="worker pool width")
+    sc.add_argument("--width", type=int, default=1,
+                    help="ignored (must be >= 1): rows are computed on the calling thread")
     sc.add_argument("--exact-dedupe", action="store_true",
                     help="split map classes by dart-model conjugacy, not just fingerprint")
     sc.add_argument("--max-cardinality", type=int, default=SCAN_CARDINALITY_DEFAULT)

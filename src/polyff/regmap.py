@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolation, NonIntegralGenus
 from .groupgen import GeneratedGroup, GroupFingerprint, order_spectrum, recognize
@@ -48,8 +47,11 @@ class RegularMapReport:
     recognized: str
 
 
-def genus_formula(p: int, q: int, E: int) -> Fraction:
-    """Exact genus g with 2g - 2 = E(1 - 2/p - 2/q)."""
+def genus_formula(p: int, q: int, E: int):
+    """Exact genus g with 2g - 2 = E(1 - 2/p - 2/q), as a ``Fraction``."""
+    # imported here: ``analyze`` checks the formula in integers
+    from fractions import Fraction
+
     if p < 2 or q < 2 or E < 1:
         raise ValueError(f"need p, q >= 2 and E >= 1, got ({p}, {q}, {E})")
     rhs = E * (Fraction(1) - Fraction(2, p) - Fraction(2, q))
@@ -62,6 +64,11 @@ def genus_exact(p: int, q: int, E: int) -> int:
     if g.denominator != 1:
         raise NonIntegralGenus(f"genus {g} for (p={p}, q={q}, E={E}) is not an integer")
     return int(g)
+
+
+def _half(d: int) -> str:
+    """``str(Fraction(d, 2))``: d/2 in lowest terms."""
+    return str(d // 2) if d % 2 == 0 else f"{d}/2"
 
 
 def _rotation_columns(G: GeneratedGroup) -> list[list[int]]:
@@ -108,9 +115,10 @@ def analyze(G: GeneratedGroup) -> RegularMapReport:
     doubled = order - V - E - F + 2  # equals 2g
     if doubled < 0 or doubled % 2:
         return RegularMapReport(p, q, e_order, order, V, E, F, None, None, True,
-                                f"genus would be {Fraction(doubled, 2)}", fp, name)
+                                f"genus would be {_half(doubled)}", fp, name)
     genus = doubled // 2
-    if genus_formula(p, q, E) != genus:
+    # genus_formula's 2g - 2 = E(1 - 2/p - 2/q), times pq
+    if p * q * (2 * genus - 2) != E * (p * q - 2 * p - 2 * q):
         raise InvariantViolation(
             f"genus mismatch: counts give {genus}, formula gives {genus_formula(p, q, E)}")
     return RegularMapReport(p, q, e_order, order, V, E, F, genus, V - E + F,

@@ -61,7 +61,7 @@ from .errors import (
     UnsupportedRing,
 )
 
-# exhaustive square-root search refuses above this cardinality
+# square roots are refused above this cardinality
 SQRT_SEARCH_CAP = 10**6
 # dense coefficient vectors stay practical only for small extension degrees
 MAX_EXTENSION_DEGREE = 4
@@ -863,11 +863,47 @@ def ring_make(spec: str) -> Ring:
     raise RingSpecError(f"cannot parse ring spec {spec!r}")
 
 
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """The smaller of the two square roots of a modulo an odd prime p, or None.
+
+    Euler's criterion decides whether a root exists; Tonelli-Shanks finds it
+    with O(log p) powers mod p (H. Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 1.5.1).
+    """
+    if a == 0:
+        return 0
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        return None
+    # p - 1 = 2^e * odd
+    e, odd = 0, p - 1
+    while not odd & 1:
+        e, odd = e + 1, odd >> 1
+    n = 2
+    while pow(n, half, p) == 1:
+        n += 1
+    # invariants: a*b = x^2, y has order 2^r, b has order dividing 2^(r-1)
+    y, r = pow(n, odd, p), e
+    x = pow(a, (odd - 1) // 2, p)
+    b = a * x * x % p
+    x = a * x % p
+    while b != 1:
+        m, t = 1, b * b % p
+        while t != 1:
+            m, t = m + 1, t * t % p
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return min(x, p - x)
+
+
 def sqrt_in_field(d: RingElem) -> RingElem | None:
     """Some r with r*r = d, or None; ties broken by smallest code.
 
-    Exhaustive search over the codes, refused above cardinality 10**6.
-    Valid over any finite field (GaloisField, or ZMod with prime modulus).
+    Valid over any finite field (GaloisField, or ZMod with prime modulus),
+    and refused above cardinality 10**6.  Prime fields of odd order use
+    Tonelli-Shanks; GF(2) and the extension fields search the codes in
+    ascending order.
     """
     ring = d.ring
     if not ring.is_field:
@@ -875,6 +911,10 @@ def sqrt_in_field(d: RingElem) -> RingElem | None:
     if ring.cardinality > SQRT_SEARCH_CAP:
         raise UnsupportedRing(
             f"square-root search capped at cardinality {SQRT_SEARCH_CAP}")
+    p = ring.modulus
+    if ring.cardinality == p and p > 2:
+        r = _sqrt_mod_prime(d.val, p)
+        return None if r is None else RingElem(ring, r)
     mul = ring._mul
     target = d.val
     for r in range(ring.cardinality):

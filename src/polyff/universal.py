@@ -70,25 +70,31 @@ def make_sigmas(params: PolyhedronParams) -> tuple[Mat3, Mat3, Mat3]:
 
 
 def make_rhos(params: PolyhedronParams) -> tuple[Mat3, Mat3, Mat3]:
-    """The rotations (rho_v, rho_e, rho_f) for (x, y), written out explicitly."""
+    """The rotations (rho_v, rho_e, rho_f) for (x, y), written out explicitly.
+
+    The entries are computed on the ring's codes, since a scan builds the
+    three matrices once per row.
+    """
     ring = params.ring
-    x, y = params.x, params.y
-    one = ring.one
-    rv = Mat3.from_rows(ring, [
-        [1, one - x, (one - x) * (one - y)],
-        [0, -1, y - one],
-        [0, one + x, (one + x) * (one - y) - one],
-    ])
-    re = Mat3.from_rows(ring, [
-        [-1, 0, 0],
-        [2, 1, one - y],
-        [0, 0, -1],
-    ])
-    rf = Mat3.from_rows(ring, [
-        [-1, x - one, 0],
-        [2, one - (x + x), 0],
-        [0, one + x, 1],
-    ])
+    x, y = params.x.val, params.y.val
+    add, sub, mul = ring._add, ring._sub, ring._mul
+    zero, one, two, minus_one = map(ring._from_int, (0, 1, 2, -1))
+    one_minus_x, one_plus_x, one_minus_y = sub(one, x), add(one, x), sub(one, y)
+    rv = Mat3._raw(ring, (
+        one, one_minus_x, mul(one_minus_x, one_minus_y),
+        zero, minus_one, sub(y, one),
+        zero, one_plus_x, sub(mul(one_plus_x, one_minus_y), one),
+    ))
+    re = Mat3._raw(ring, (
+        minus_one, zero, zero,
+        two, one, one_minus_y,
+        zero, zero, minus_one,
+    ))
+    rf = Mat3._raw(ring, (
+        minus_one, sub(x, one), zero,
+        two, sub(one, add(x, x)), zero,
+        zero, one_plus_x, one,
+    ))
     return rv, re, rf
 
 

@@ -11,7 +11,7 @@ Nothing here imports the package under test.  Four oracles:
 * irreducibility over F_p by trial division by every monic polynomial of
   degree up to half the degree.
 
-Three reference implementations, kept as the slow, direct algorithms that
+Five reference implementations, kept as the slow, direct algorithms that
 the package's faster ones are compared against, and one rebuild of a
 closure's matrices (they take the package's objects as arguments but
 import nothing from it):
@@ -20,6 +20,8 @@ import nothing from it):
 * the order spectrum by each element's own ``order()`` and the center by
   two products per test;
 * map equivalence by trying every image of dart 0;
+* a square root by trying every code in ascending order;
+* the three rotations by ring-element arithmetic and coercion;
 * a generated group's matrices, from its generators and Cayley table.
 """
 
@@ -361,3 +363,34 @@ def reference_equivalent(pa, pb) -> bool:
         if ok and all(v >= 0 for v in phi):
             return True
     return False
+
+
+def search_sqrt(d):
+    """Code of the smallest r with r*r = d in d's ring, by trying every code; or None."""
+    ring = d.ring
+    for r in range(ring.cardinality):
+        if ring._mul(r, r) == d.val:
+            return r
+    return None
+
+
+def reference_rhos(params) -> list[tuple[int, ...]]:
+    """The codes of (rho_v, rho_e, rho_f), row-major, from ring-element arithmetic.
+
+    Integer entries are coerced by ``ring.elem``, as ``Mat3.from_rows`` does.
+    """
+    x, y = params.x, params.y
+    ring = x.ring
+    one = ring.one
+    rotations = (
+        [[1, one - x, (one - x) * (one - y)],
+         [0, -1, y - one],
+         [0, one + x, (one + x) * (one - y) - one]],
+        [[-1, 0, 0],
+         [2, 1, one - y],
+         [0, 0, -1]],
+        [[-1, x - one, 0],
+         [2, one - (x + x), 0],
+         [0, one + x, 1]],
+    )
+    return [tuple(ring.elem(e).val for row in m for e in row) for m in rotations]

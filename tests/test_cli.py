@@ -5,10 +5,12 @@ from __future__ import annotations
 from contextlib import redirect_stdout
 import io
 import json
+import threading
 import tracemalloc
 
 import pytest
 
+from polyff import cli
 from polyff.cli import _scan_row, main, run_pipeline
 from polyff.groupgen import CLOSURE_CAP_DEFAULT
 from polyff.regmap import DartModel, dart_model, maps_equivalent
@@ -173,6 +175,18 @@ def test_scan_deterministic_across_widths(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_scan_rows_run_on_the_calling_thread(capsys, monkeypatch):
+    threads = []
+
+    def recording_row(*args):
+        threads.append(threading.get_ident())
+        return _scan_row(*args)
+    monkeypatch.setattr(cli, "_scan_row", recording_row)
+    code, _, _ = run(capsys, "scan", "--ring", "gf:3", "--width", "8")
+    assert code == 0
+    assert threads == [threading.get_ident()] * 9
 
 
 def test_scan_json_classes(capsys):

@@ -10,6 +10,7 @@ from polyff.errors import NonIntegralGenus
 from polyff.groupgen import generate
 from polyff.regmap import (
     DartModel,
+    _half,
     analyze,
     dart_model,
     genus_exact,
@@ -55,6 +56,12 @@ def test_genus_formula_fractional():
 def test_genus_formula_rejects_bad_arguments():
     with pytest.raises(ValueError):
         genus_formula(1, 4, 12)
+
+
+def test_genus_reason_halves_like_fraction():
+    # analyze formats "genus would be d/2" by hand
+    for d in range(-9, 10):
+        assert _half(d) == str(Fraction(d, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from polyff.rings import (
     sqrt_in_field,
 )
 
-from oracles import TupleField, trial_division_irreducible
+from oracles import TupleField, search_sqrt, trial_division_irreducible
 
 RINGS = [
     ZMod(12),
@@ -267,7 +267,7 @@ def test_extension_arithmetic_matches_tuple_oracle(spec, cls):
 
 
 def test_racing_table_builds_give_equal_products():
-    # scan pool threads share one ring and read its tables at once
+    # rings are immutable once built, so threads may share one and read its tables at once
     workers = 8
     ring, reference = ring_make("gf:7^2"), ring_make("gf:7^2")
     rng = random.Random(3)
@@ -324,8 +324,25 @@ def test_sqrt_rejects_composite_zmod():
         sqrt_in_field(ZMod(12).from_int(1))
 
 
+@pytest.mark.parametrize("p", [3, 5, 17, 41, 73, 97, 113])
+def test_prime_field_sqrt_matches_search(p):
+    # 17, 41, 73, 97 and 113 are 1 mod 8, so Tonelli-Shanks' inner loop runs
+    for ring in (ZMod(p), GaloisField(p)):
+        for d in ring.elements():
+            root = sqrt_in_field(d)
+            assert (None if root is None else root.val) == search_sqrt(d), (ring, d)
+
+
+def test_sqrt5_matches_search_below_2000():
+    for p in range(2, 2000):
+        if rings.is_prime(p):
+            five = GaloisField(p).from_int(5)
+            root = sqrt_in_field(five)
+            assert (None if root is None else root.val) == search_sqrt(five), p
+
+
 def test_sqrt_search_cap():
-    huge = ZMod(1_000_003)  # prime, but past the exhaustive-search cap
+    huge = ZMod(1_000_003)  # prime, but past the square-root cap
     with pytest.raises(UnsupportedRing):
         sqrt_in_field(huge.from_int(2))
 

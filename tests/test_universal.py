@@ -19,6 +19,8 @@ from polyff.universal import (
     verify_relations,
 )
 
+from oracles import reference_rhos
+
 TEST_RINGS = ["zmod:2", "zmod:12", "gf:2", "gf:3", "gf:5", "gf:7^2:t^2+2", "gf:101"]
 
 
@@ -61,6 +63,17 @@ def test_rhos_at_square_tiling_parameters():
     assert rv == Mat3.from_rows(ring, [[1, 1, 2], [0, -1, -2], [0, 1, 1]])
     assert rf == Mat3.from_rows(ring, [[-1, -1, 0], [2, 1, 0], [0, 1, 1]])
     assert re == Mat3.from_rows(ring, [[-1, 0, 0], [2, 1, 2], [0, 0, -1]])
+
+
+@pytest.mark.parametrize("spec", ["zmod:6", "gf:5", "gf:2^3", "gf:3^2"])
+def test_rhos_match_element_arithmetic(spec):
+    ring = ring_make(spec)
+    for x in ring.elements():
+        for y in ring.elements():
+            params = PolyhedronParams(x, y)
+            rhos = make_rhos(params)
+            assert all(m.ring is ring for m in rhos)
+            assert [m.vals for m in rhos] == reference_rhos(params), (x, y)
 
 
 def test_rho_v_at_cube_parameters():
