@@ -45,29 +45,19 @@ def run_pipeline(params: PolyhedronParams,
     return group, analyze(group)
 
 
-def report_dict(ring: Ring, params: PolyhedronParams, report: RegularMapReport,
-                bad_computed=None, bad_published=None) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "ring": ring.spec_string(),
-        "x": str(params.x),
-        "y": str(params.y),
-        "group_order": report.group_order,
-        "p": report.p,
-        "q": report.q,
-        "e_order": report.e_order,
-        "V": report.V,
-        "E": report.E,
-        "F": report.F,
-        "genus": report.genus,
-        "euler": report.euler,
-        "degenerate": report.degenerate,
-        "degeneracy_reason": report.degeneracy_reason,
-        "fingerprint": report.fingerprint.serialize(),
-        "recognized": report.recognized,
-        "bad_primes_computed": sorted(bad_computed) if bad_computed is not None else None,
-        "bad_primes_paper": sorted(bad_published) if bad_published is not None else None,
-    }
+def report_dict(ring: Ring, params: PolyhedronParams, report: RegularMapReport) -> dict:
+    """The report as every output format prints it, before any command's extra keys."""
+    return {"schema": SCHEMA_VERSION, "ring": ring.spec_string(),
+            "x": str(params.x), "y": str(params.y), **vars(report),
+            "fingerprint": report.fingerprint.serialize(),
+            "bad_primes_computed": None, "bad_primes_paper": None}
+
+
+def _bad_prime_keys(primes: catalog.BadPrimeReport) -> dict:
+    return {"bad_primes_computed": sorted(primes.computed),
+            "bad_primes_paper": sorted(primes.published) if primes.published is not None else None,
+            "bad_primes_discrepancy": primes.discrepancy,
+            "needs_extension": sorted(primes.needs_extension)}
 
 
 def _require_positive(**named: int) -> None:
@@ -93,12 +83,7 @@ def _render_report(args, d: dict) -> str:
     if args.format == "text":
         return "".join(f"{k}: {json.dumps(v) if isinstance(v, (list, dict)) else v}\n"
                        for k, v in d.items())
-    # csv: single row with the scan columns
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SCAN_COLUMNS)
-    writer.writerow(_csv_values(d))
-    return out.getvalue()
+    return _csv_text([d])
 
 
 def _csv_values(d: dict) -> list[str]:
@@ -114,9 +99,25 @@ def _csv_values(d: dict) -> list[str]:
     return vals
 
 
-def _attach_darts(d: dict, args, group: GeneratedGroup) -> None:
+def _csv_text(rows: list[dict]) -> str:
+    """A header of the scan columns, then one line per row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SCAN_COLUMNS)
+    writer.writerows(map(_csv_values, rows))
+    return out.getvalue()
+
+
+def _report_command(args, ring: Ring, params: PolyhedronParams,
+                    extra_keys=lambda report: {}) -> int:
+    """Run one parameter pair and emit its report, with the command's extra keys."""
+    group, report = run_pipeline(params, cap=args.cap)
+    d = report_dict(ring, params, report)
+    d.update(extra_keys(report))
     if args.darts:
         d["darts"] = dart_model(group).to_text()
+    _emit(args, _render_report(args, d))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,57 +129,40 @@ def cmd_specialize(args) -> int:
     entry = catalog.platonic_params(args.solid)
     primes = catalog.bad_primes(entry)
     params, used = catalog.specialize(entry, ring, auto_extend=args.auto_extend)
-    group, report = run_pipeline(params, cap=args.cap)
-    d = report_dict(used, params, report, primes.computed, primes.published)
-    d["bad_primes_discrepancy"] = primes.discrepancy
-    d["needs_extension"] = sorted(primes.needs_extension)
-    _attach_darts(d, args, group)
-    _emit(args, _render_report(args, d))
-    return 0
+    return _report_command(args, used, params, lambda report: _bad_prime_keys(primes))
 
 
 def cmd_analyze(args) -> int:
     _require_positive(cap=args.cap)
     ring = ring_make(args.ring)
-    params = PolyhedronParams(ring.parse_elem(args.x), ring.parse_elem(args.y))
-    group, report = run_pipeline(params, cap=args.cap)
-    d = report_dict(ring, params, report)
-    _attach_darts(d, args, group)
-    _emit(args, _render_report(args, d))
-    return 0
+    return _report_command(args, ring, PolyhedronParams(ring.parse_elem(args.x),
+                                                        ring.parse_elem(args.y)))
 
 
 def cmd_grid(args) -> int:
     _require_positive(cap=args.cap)
-    ring = ZMod(args.n)
     name = "square_tiling" if args.family == "square" else "triangular_tiling"
-    params, used = catalog.specialize(name, ring)
-    group, report = run_pipeline(params, cap=args.cap)
-    d = report_dict(used, params, report)
-
+    params, used = catalog.specialize(name, ZMod(args.n))
     prediction: dict = {"family": args.family, "n": args.n}
     if args.family == "square":
         k = args.n // 2 if args.n % 2 == 0 else args.n
         prediction["grid"] = f"{k}x{k}"
         prediction["predicted_group_order"] = 4 * k * k
-        if report.degenerate:
-            prediction["match"] = None  # degeneracy reported instead of a verdict
-        else:
-            prediction["match"] = (report.group_order == 4 * k * k
-                                   and (report.p, report.q) == (4, 4))
+
+        def holds(r):
+            return r.group_order == 4 * k * k and (r.p, r.q) == (4, 4)
     else:
         prediction["expected_pq"] = [6, 3]
         prediction["expected_ratio"] = "V:E:F = 1:3:2"
-        if report.degenerate:
-            prediction["match"] = None
-        else:
-            prediction["match"] = ((report.p, report.q) == (6, 3)
-                                   and report.E == 3 * report.V
-                                   and report.F == 2 * report.V)
-    d["prediction"] = prediction
-    _attach_darts(d, args, group)
-    _emit(args, _render_report(args, d))
-    return 0
+
+        def holds(r):
+            return (r.p, r.q) == (6, 3) and r.E == 3 * r.V and r.F == 2 * r.V
+
+    def extra_keys(report):
+        # a degenerate report gets no verdict
+        return {"prediction": {**prediction,
+                               "match": None if report.degenerate else holds(report)}}
+    return _report_command(args, used, params, extra_keys)
 
 
 def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
@@ -207,11 +191,9 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
     if not report.degenerate and report.euler != 2 - 2 * report.genus:
         raise InvariantViolation(
             f"euler/genus mismatch at (x, y) = ({x}, {y})")
-    row = {"x": str(x), "y": str(y), "group_order": report.group_order,
-           "p": report.p, "q": report.q, "genus": report.genus,
-           "degenerate": report.degenerate,
-           "fingerprint": report.fingerprint.serialize(),
-           "recognized": report.recognized, "cap_exceeded": False}
+    d = report_dict(ring, params, report)
+    row = {col: d[col] for col in SCAN_COLUMNS}
+    row["cap_exceeded"] = False
     if not exact:
         return row, None
     return row, b"".join(array("l", perm).tobytes() for perm in dart_model(group).perms())
@@ -255,12 +237,7 @@ def cmd_scan(args) -> int:
     cap_rows = sum(1 for r in rows if r["cap_exceeded"])
 
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(SCAN_COLUMNS)
-        for row in rows:
-            writer.writerow(_csv_values(row))
-        _emit(args, out.getvalue())
+        _emit(args, _csv_text(rows))
         for cls in class_list:
             print(f"# class {cls.get('class', cls['fingerprint'])}: "
                   f"count={cls['count']} recognized={cls['recognized']}", file=sys.stderr)
@@ -299,7 +276,6 @@ def cmd_relations(args) -> int:
 def cmd_catalog(args) -> int:
     lines = []
     for name, entry in catalog.CATALOG.items():
-        primes = catalog.bad_primes(entry)
         lines.append(json.dumps({
             "name": name,
             "x": entry.x.to_json(),
@@ -307,10 +283,7 @@ def cmd_catalog(args) -> int:
             "expected_pq": list(entry.expected_pq),
             "expected_group": entry.expected_group,
             "tiling_class": catalog.classify_pq(*entry.expected_pq).value,
-            "bad_primes_computed": sorted(primes.computed),
-            "bad_primes_paper": sorted(primes.published) if primes.published is not None else None,
-            "bad_primes_discrepancy": primes.discrepancy,
-            "needs_extension": sorted(primes.needs_extension),
+            **_bad_prime_keys(catalog.bad_primes(entry)),
         }))
     _emit(args, "\n".join(lines) + "\n")
     return 0

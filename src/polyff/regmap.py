@@ -30,12 +30,15 @@ from .groupgen import GeneratedGroup, GroupFingerprint, order_spectrum, recogniz
 
 @dataclass(frozen=True)
 class RegularMapReport:
-    """Combinatorial summary of one specialization."""
+    """Combinatorial summary of one specialization, in report order.
 
+    A degenerate report leaves the counts it could not define as ``None``.
+    """
+
+    group_order: int
     p: int
     q: int
     e_order: int
-    group_order: int
     V: int | None
     E: int | None
     F: int | None
@@ -94,7 +97,7 @@ def analyze(G: GeneratedGroup) -> RegularMapReport:
     name = recognize(fp)
     order = G.order
 
-    reason = None
+    reason = V = E = F = genus = euler = None
     if e_order != 2:
         reason = f"rho_e has order {e_order}, expected 2"
     elif p < 2:
@@ -106,23 +109,20 @@ def analyze(G: GeneratedGroup) -> RegularMapReport:
     elif order % p or order % q:
         reason = (f"non-integral counts: |G| = {order} not divisible by "
                   f"p = {p} or q = {q}")
-
-    if reason is not None:
-        return RegularMapReport(p, q, e_order, order, None, None, None, None,
-                                None, True, reason, fp, name)
-
-    V, E, F = order // p, order // 2, order // q
-    doubled = order - V - E - F + 2  # equals 2g
-    if doubled < 0 or doubled % 2:
-        return RegularMapReport(p, q, e_order, order, V, E, F, None, None, True,
-                                f"genus would be {_half(doubled)}", fp, name)
-    genus = doubled // 2
-    # genus_formula's 2g - 2 = E(1 - 2/p - 2/q), times pq
-    if p * q * (2 * genus - 2) != E * (p * q - 2 * p - 2 * q):
-        raise InvariantViolation(
-            f"genus mismatch: counts give {genus}, formula gives {genus_formula(p, q, E)}")
-    return RegularMapReport(p, q, e_order, order, V, E, F, genus, V - E + F,
-                            False, None, fp, name)
+    else:
+        V, E, F = order // p, order // 2, order // q
+        doubled = order - V - E - F + 2  # equals 2g
+        if doubled < 0 or doubled % 2:
+            reason = f"genus would be {_half(doubled)}"
+        else:
+            genus = doubled // 2
+            # genus_formula's 2g - 2 = E(1 - 2/p - 2/q), times pq
+            if p * q * (2 * genus - 2) != E * (p * q - 2 * p - 2 * q):
+                raise InvariantViolation(f"genus mismatch: counts give {genus}, "
+                                         f"formula gives {genus_formula(p, q, E)}")
+            euler = V - E + F
+    return RegularMapReport(order, p, q, e_order, V, E, F, genus, euler,
+                            reason is not None, reason, fp, name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here imports the package under test.  Four oracles:
+Nothing here imports the package under test.  Six oracles:
 
 * permutation-group enumeration (spectra of S_n, A_n by listing every
   permutation and taking cycle-length lcms);
 * a standalone matrix-closure enumerator over Z/nZ using plain integer
   tuples, with the rotation formulas written out independently;
+* the quadratic form that every rotation preserves, over Z/nZ;
+* the rotations built a second way, from the reflections of a Cartan
+  matrix, on code tables;
 * GF(p^k) arithmetic on coefficient tuples, with a naive triple-loop 3x3
   product, against which the package's int-coded fields are compared;
 * irreducibility over F_p by trial division by every monic polynomial of
@@ -89,6 +92,23 @@ def rotations_mod(x: int, y: int, n: int):
     re = (-1, 0, 0, 2, 1, 1 - y, 0, 0, -1)
     rf = (-1, -1 + x, 0, 2, 1 - 2 * x, 0, 0, 1 + x, 1)
     return tuple(tuple(v % n for v in m) for m in (rv, re, rf))
+
+
+def invariant_form(x: int, y: int, n: int):
+    """The symmetric form B, row-major mod n, with g^T B g = B for each rotation g.
+
+    The entries are polynomials in x and y, so the identity holds over
+    every Z/nZ, composite moduli included.
+    """
+    c = (x - 1) * (y - 1)
+    b = (x * y - x + y + 3, -2 * (x - 1), c,
+         -2 * (x - 1), -2 * (x - 1), c,
+         c, c, c)
+    return tuple(v % n for v in b)
+
+
+def transpose(a):
+    return tuple(a[3 * j + i] for i in range(3) for j in range(3))
 
 
 def closure_mod(gens, n, cap=1_000_000):
@@ -269,6 +289,33 @@ def trial_division_irreducible(m: tuple[int, ...], p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # reference implementations
+
+def cartan_rhos(x: int, y: int, add, mul, one: int) -> list[tuple[int, ...]]:
+    """(rho_v, rho_e, rho_f) as code nine-tuples, built from a Cartan matrix.
+
+    A second construction of the rotations: the reflections are
+    s_i(e_j) = e_j - a_ij e_i with A = [[2, -1, 0], [-c1, 2, -1],
+    [0, -c2, 2]], c1 = 2(1 - x) and c2 = (1 + x)(1 - y), and the rotations
+    are s1 s2, s0 s2 and s0 s1.  ``add`` and ``mul`` are q x q code tables
+    in which code 0 is zero, and ``one`` is the code of one.
+
+    The flag-basis reflections are sigma_i = D s_i^T D^-1 with
+    D = diag(1, 2, 2(1 + x)).  Where 2 and 1 + x are units,
+    g -> D g^-T D^-1 is an isomorphism that carries these rotations to the
+    flag-basis ones, so a walk from the identity numbers both groups alike.
+    """
+    neg = [row.index(0) for row in add]
+    two = add[one][one]
+    c1 = mul[two][add[one][neg[x]]]
+    c2 = mul[add[one][x]][add[one][neg[y]]]
+    m1 = neg[one]
+    # row i of s_i is (delta_ij - a_ij)_j; its other rows are the identity's
+    s0 = (m1, one, 0, 0, one, 0, 0, 0, one)
+    s1 = (one, 0, 0, c1, m1, one, 0, 0, one)
+    s2 = (one, 0, 0, 0, one, 0, 0, c2, m1)
+    product = table_mat_mul(add, mul)
+    return [product(s1, s2), product(s0, s2), product(s0, s1)]
+
 
 def closure_elements(group) -> list:
     """A generated group's matrices in index order, rebuilt from its table.

@@ -16,6 +16,11 @@ cardinality 10^6 (gf:1913, exit 2) and a closure stopped by ``--cap``
 (zmod:29, exit 4); the gf:101 relations survey pins the sampled path.
 The gf:211^4 analysis pins the default quartic t^4+t+1, the first of
 ``_find_irreducible``'s candidates over F_211 that is irreducible.
+The report's assembly is pinned per command: the grid prediction with a
+verdict (triangular n = 7, text) and without one (square n = 2, whose
+report is degenerate, so ``match`` is null), the bad-prime keys of
+``catalog``, the one-row csv of ``specialize``, and scan rows stopped by
+``--cap`` (zmod:9, exit 4).
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -61,6 +66,12 @@ CASES = {
                                           "--ring", "gf:1913", "--auto-extend"],
     "analyze-zmod29-cap10": ["analyze", "--ring", "zmod:29", "--x", "2", "--y", "3",
                              "--cap", "10"],
+    "grid-square-n2": ["grid", "--family", "square", "--n", "2"],
+    "grid-triangular-n7-text": ["grid", "--family", "triangular", "--n", "7", "--format", "text"],
+    "catalog": ["catalog"],
+    "specialize-cube-gf5-csv": ["specialize", "--solid", "cube", "--ring", "gf:5",
+                                "--format", "csv"],
+    "scan-zmod9-cap20-json": ["scan", "--ring", "zmod:9", "--cap", "20", "--format", "json"],
 }
 
 

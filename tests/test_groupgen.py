@@ -25,6 +25,7 @@ from polyff.universal import PolyhedronParams, make_rhos, make_sigmas
 from oracles import (
     TupleField,
     alternating_spectrum,
+    cartan_rhos,
     cayley_table,
     closure_elements,
     closure_mod,
@@ -149,17 +150,20 @@ def test_closure_matches_oracle_elements():
     assert {m.vals for m in closure_elements(group)} == set(oracle_elems)
 
 
-def _matrix_bfs_inputs(ring):
-    """The identity and a table-driven matrix product for ``cayley_table``."""
+def _code_tables(ring):
+    """The ring's sum and product tables on codes, and the code of one."""
     if isinstance(ring, ZMod):
         n = ring.modulus
         add = [[(u + v) % n for v in range(n)] for u in range(n)]
         mul = [[u * v % n for v in range(n)] for u in range(n)]
-        one = 1
-    else:
-        field = TupleField(ring.modulus, ring.ext_poly)
-        add, mul = field.code_tables()
-        one = field.to_code((1,) + (0,) * (field.k - 1))
+        return add, mul, 1
+    field = TupleField(ring.modulus, ring.ext_poly)
+    return *field.code_tables(), field.to_code((1,) + (0,) * (field.k - 1))
+
+
+def _matrix_bfs_inputs(ring):
+    """The identity and a table-driven matrix product for ``cayley_table``."""
+    add, mul, one = _code_tables(ring)
     ident = tuple(one if i % 4 == 0 else 0 for i in range(9))
     return ident, table_mat_mul(add, mul)
 
@@ -176,6 +180,23 @@ def test_cayley_table_matches_plain_matrix_bfs(spec):
             group = _rotation_group(spec, x, y)
             gens = [g.vals for g in group.generators]
             assert group.cayley == cayley_table(gens, ident, product), (spec, x, y)
+
+
+@pytest.mark.parametrize("spec", ["gf:5", "gf:7", "gf:3^2", "zmod:9"])
+def test_cartan_reflections_give_the_same_cayley_table(spec):
+    # a second construction of the rotations; see cartan_rhos for why the
+    # tables agree where 2 and 1 + x are units
+    ring = ring_make(spec)
+    ident, product = _matrix_bfs_inputs(ring)
+    add, mul, one = _code_tables(ring)
+    two = add[one][one]
+    for x in ring.elements():
+        if one not in mul[two] or one not in mul[add[one][x.val]]:
+            continue
+        for y in ring.elements():
+            group = _rotation_group(spec, x, y)
+            assert group.cayley == cayley_table(cartan_rhos(x.val, y.val, add, mul, one),
+                                                ident, product), (spec, x, y)
 
 
 @pytest.mark.parametrize("picks", [(0,), (0, 1), (0, 1, 2, 3)],

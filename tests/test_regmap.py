@@ -104,6 +104,27 @@ def test_reports_match_oracle():
             assert report.genus == oracle["genus"]
 
 
+# Hurwitz groups: M. Conder, "Hurwitz groups: a brief survey", Bull. AMS 23 (1990);
+# a Hurwitz map has (p, q) = (7, 3) and genus 1 + |G|/84
+@pytest.mark.parametrize("spec, x, y, order, pq, genus, vef", [
+    ("gf:7", "4", "3", 168, (7, 3), 3, (24, 84, 56)),  # Klein quartic
+    ("zmod:14", "11", "3", 168, (7, 3), 3, (24, 84, 56)),  # Klein quartic
+    ("gf:13", "7", "3", 1092, (7, 3), 14, (156, 546, 364)),  # Hurwitz
+    ("gf:29", "15", "7", 12180, (7, 3), 146, (1740, 6090, 4060)),  # Hurwitz
+    ("gf:41", "21", "4", 34440, (7, 3), 411, (4920, 17220, 11480)),  # Hurwitz
+    ("gf:5", "0", "2", 120, (5, 4), 4, (24, 60, 30)),  # Bring's surface
+    ("gf:3^2", "t+1", "t", 60, (5, 5), 4, (12, 30, 12)),  # great dodecahedron
+    ("gf:11", "2", "3", 60, (5, 5), 4, (12, 30, 12)),  # great dodecahedron
+])
+def test_literature_anchors(spec, x, y, order, pq, genus, vef):
+    ring = ring_make(spec)
+    group = generate(list(make_rhos(PolyhedronParams(ring.parse_elem(x), ring.parse_elem(y)))))
+    report = analyze(group)
+    assert not report.degenerate
+    assert (report.group_order, (report.p, report.q), report.genus) == (order, pq, genus)
+    assert (report.V, report.E, report.F) == vef
+
+
 def test_square_tiling_over_z2_degenerate():
     _, report = _run("zmod:2", 0, -1)
     assert report.degenerate

@@ -19,7 +19,7 @@ from polyff.universal import (
     verify_relations,
 )
 
-from oracles import reference_rhos
+from oracles import invariant_form, mat_mul_mod, reference_rhos, transpose
 
 TEST_RINGS = ["zmod:2", "zmod:12", "gf:2", "gf:3", "gf:5", "gf:7^2:t^2+2", "gf:101"]
 
@@ -112,6 +112,17 @@ def test_factorizations_match_explicit_rhos(spec):
         assert rv == s1 * s2
         assert re == s0 * s2
         assert rf == s0 * s1
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 15])
+def test_rotations_preserve_the_invariant_form(n):
+    ring = ZMod(n)
+    for x in range(n):
+        for y in range(n):
+            form = invariant_form(x, y, n)
+            for g in make_rhos(_params(ring, x, y)):
+                assert mat_mul_mod(mat_mul_mod(transpose(g.vals), form, n), g.vals, n) == form, \
+                    (n, x, y)
 
 
 @pytest.mark.parametrize("spec", TEST_RINGS)
