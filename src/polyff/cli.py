@@ -13,6 +13,7 @@ from array import array
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 
@@ -207,16 +208,12 @@ def cmd_scan(args) -> int:
             f"scan over cardinality {ring.cardinality} refused "
             f"(limit {args.max_cardinality}; raise with --max-cardinality)")
     elements = list(ring.elements())
-    pairs = [(x, y) for x in elements for y in elements]
     exact = args.exact_dedupe
-
-    def work(pair):
-        return _scan_row(ring, pair[0], pair[1], args.cap, exact)
-
     rows = []
     classes: dict[str, dict] = {}
     numbers: dict[str, dict[bytes, int]] = {}  # per fingerprint: dart key -> k of "#k"
-    for row, darts in map(work, pairs):
+    for x, y in itertools.product(elements, repeat=2):
+        row, darts = _scan_row(ring, x, y, args.cap, exact)
         rows.append(row)
         if row["cap_exceeded"]:
             continue

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here imports the package under test.  Six oracles:
+Nothing here imports the package under test.  Seven oracles:
 
 * permutation-group enumeration (spectra of S_n, A_n by listing every
   permutation and taking cycle-length lcms);
@@ -12,7 +12,8 @@ Nothing here imports the package under test.  Six oracles:
 * GF(p^k) arithmetic on coefficient tuples, with a naive triple-loop 3x3
   product, against which the package's int-coded fields are compared;
 * irreducibility over F_p by trial division by every monic polynomial of
-  degree up to half the degree.
+  degree up to half the degree;
+* primality by trial division by every integer from 2 up to the square root.
 
 Five reference implementations, kept as the slow, direct algorithms that
 the package's faster ones are compared against, and one rebuild of a
@@ -285,6 +286,14 @@ def trial_division_irreducible(m: tuple[int, ...], p: int) -> bool:
             if not poly_mod(m, g, p):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# primality by trial division
+
+def trial_division_prime(n: int) -> bool:
+    """n >= 2 with no divisor d, 2 <= d <= sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -223,3 +223,20 @@ def test_every_good_prime_up_to_31_reproduces_the_solid():
             else:
                 assert got == expected, (name, p)
             assert report.genus == 0
+
+
+@pytest.mark.parametrize("p", [983, 997, 1009, 1021, 1_000_039])
+def test_large_primes_of_each_class_mod_5_reproduce_the_solids(p):
+    # p = 983, 997 are 3, 2 mod 5 (sqrt5 lies in GF(p^2), below the search
+    # cap); 1009, 1021 and 1,000,039 are 4, 1, 4 mod 5 (sqrt5 lies in GF(p))
+    from polyff.cli import run_pipeline
+
+    for name, expected in PLATONIC_MAPS.items():
+        params, ring = specialize(name, ring_make(f"gf:{p}"), auto_extend=True)
+        entry = platonic_params(name)
+        extends = (entry.x.b or entry.y.b) and p % 5 in (2, 3)
+        assert ring.cardinality == (p * p if extends else p)
+        _, report = run_pipeline(params)
+        got = (report.p, report.q, report.V, report.E, report.F, report.recognized)
+        assert got == expected, (name, p)
+        assert report.genus == 0

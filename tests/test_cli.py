@@ -52,6 +52,19 @@ def test_specialize_icosahedron_auto_extend(capsys):
     assert report["bad_primes_discrepancy"] is True
 
 
+def test_specialize_icosahedron_past_the_search_cap(capsys):
+    # 5 is a square mod 1,000,039, which Tonelli-Shanks finds at any size
+    code, out, _ = run(capsys, "specialize", "--solid", "icosahedron", "--ring", "gf:1000039")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["recognized"], report["p"], report["q"], report["genus"]) == ("A5", 5, 3, 0)
+    # 5 is not a square mod 1,000,003, and GF(1,000,003^2) is past the search cap
+    code, out, err = run(capsys, "specialize", "--solid", "icosahedron",
+                         "--ring", "gf:1000003", "--auto-extend")
+    assert (code, out) == (2, "")
+    assert err == "polyff: square-root search capped at cardinality 1000000\n"
+
+
 def test_specialize_bad_prime_exit_code(capsys):
     code, _, err = run(capsys, "specialize", "--solid", "tetrahedron", "--ring", "gf:3")
     assert code == 3

@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -39,7 +40,7 @@ from polyff.rings import (
     sqrt_in_field,
 )
 
-from oracles import TupleField, search_sqrt, trial_division_irreducible
+from oracles import TupleField, search_sqrt, trial_division_irreducible, trial_division_prime
 
 RINGS = [
     ZMod(12),
@@ -98,6 +99,25 @@ def test_ring_make_explicit_poly():
 def test_ring_make_rejects(spec, exc):
     with pytest.raises(exc):
         ring_make(spec)
+
+
+def test_is_prime_matches_trial_division():
+    # trial division below 10**10, Miller-Rabin from there on
+    for n in itertools.chain(range(20_000), range(10**10 - 100, 10**10 + 200)):
+        assert rings.is_prime(n) == trial_division_prime(n), n
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, and a strong pseudoprime to the prime bases 2 .. 23
+    for n in (561, 41041, 3_825_123_056_546_413_051, 99_991 * 100_003, 100_003**2):
+        assert not rings.is_prime(n), n
+
+
+def test_is_prime_is_fast_on_large_moduli():
+    start = time.perf_counter()
+    assert ring_make("zmod:1000000000000000003").is_field
+    assert not ring_make("zmod:1000000000000000001").is_field
+    assert time.perf_counter() - start < 1.0
 
 
 def test_irreducibility_matches_trial_division():
@@ -342,9 +362,25 @@ def test_sqrt5_matches_search_below_2000():
 
 
 def test_sqrt_search_cap():
-    huge = ZMod(1_000_003)  # prime, but past the square-root cap
-    with pytest.raises(UnsupportedRing):
+    huge = GaloisField(1009, 2)  # q = 1,018,081: an extension field past the search cap
+    with pytest.raises(UnsupportedRing, match="capped at cardinality 1000000"):
         sqrt_in_field(huge.from_int(2))
+
+
+@pytest.mark.parametrize("ring", [ZMod(1_000_003), GaloisField(1_000_039), GaloisField(1_000_033)],
+                         ids=repr)
+def test_prime_field_sqrt_past_the_search_cap(ring):
+    # 1,000,033 is 1 mod 8, so Tonelli-Shanks' inner loop runs
+    p = ring.modulus
+    rng = random.Random(p)
+    for r in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(50)]:
+        root = sqrt_in_field(ring.from_int(r * r))
+        assert root * root == ring.from_int(r * r)
+        assert root.val == min(r, p - r)
+    # -1 is not a square modulo a prime that is 3 mod 4, and 5 is not a
+    # square modulo a prime that is 2 or 3 mod 5, as 1,000,033 is
+    non_residue = 5 if p % 4 == 1 else p - 1
+    assert sqrt_in_field(ring.from_int(non_residue)) is None
 
 
 # ---------------------------------------------------------------------------
