@@ -29,7 +29,7 @@ from .errors import (
 from .groupgen import CLOSURE_CAP_DEFAULT, GeneratedGroup, generate
 from .regmap import RegularMapReport, analyze, dart_model
 from .rings import Ring, ZMod, ring_make
-from .universal import GeneratorSet, PolyhedronParams, survey_relations
+from .universal import GeneratorSet, PolyhedronParams, invariant_form, survey_relations
 
 SCHEMA_VERSION = 1
 SCAN_CARDINALITY_DEFAULT = 64
@@ -42,7 +42,7 @@ def run_pipeline(params: PolyhedronParams,
                  cap: int = CLOSURE_CAP_DEFAULT) -> tuple[GeneratedGroup, RegularMapReport]:
     """Generators -> closure -> map report, for one parameter pair."""
     gens = GeneratorSet.from_params(params)
-    group = generate([gens.rho_v, gens.rho_e, gens.rho_f], cap=cap)
+    group = generate([gens.rho_v, gens.rho_e, gens.rho_f], cap=cap, form=invariant_form(params))
     return group, analyze(group)
 
 

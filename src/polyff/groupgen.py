@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,19 +53,25 @@ class GeneratedGroup:
     generator: ``cayley[g][i]`` is the index of element i times
     ``generators[g]``.  The map pipeline passes the rotations (rho_v,
     rho_e, rho_f) in this order, so ``cayley[0..2]`` are their columns.
-    No other matrix is kept.  Instances are immutable after construction.
+    No other matrix is kept.  ``traces`` is None, or, when ``generate``
+    certified the group inside SO(3, B), the number of elements of each
+    trace (ring code -> count), which ``order_spectrum`` reads instead of
+    the table.  Instances are immutable after construction.
     """
 
-    def __init__(self, generators: list[Mat3], cayley: list[list[int]]):
+    def __init__(self, generators: list[Mat3], cayley: list[list[int]],
+                 traces: dict[int, int] | None = None):
         self.generators = generators
         self.cayley = cayley
+        self.traces = traces
 
     @property
     def order(self) -> int:
         return len(self.cayley[0])
 
 
-def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedGroup:
+def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
+             form: Mat3 | None = None) -> GeneratedGroup:
     """Breadth-first closure of the generators under right multiplication.
 
     Deterministic: the element numbering depends only on the generator
@@ -92,6 +98,13 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
     during the walk, or in the orbit pass once it numbers more than 3 * cap
     rows (every row is a row of an element, so the group is then larger
     than ``cap``).  Either way ``partial_count`` is ``cap``.
+
+    ``form`` is a symmetric matrix B with det B != 0 over a field of odd
+    order q, or None.  When it is given and |G| > 2(q + 1), every generator
+    must satisfy g^T B g = B and det g = 1, or InvariantViolation is raised;
+    the group then lies in SO(3, B), and the walk's element keys are
+    counted by trace into ``traces`` for ``order_spectrum``.  Smaller
+    groups, and every group without a form, get no trace count.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -124,28 +137,72 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
                     s = row_index[row] = len(rows)
                     rows.append(row)
                 image.append(s)
+    # entries 0, 1 and 2 of every row: an element's trace sums one of each
+    diagonals = None if form is None else tuple(zip(*rows))
+    del rows, row_index
 
-    # pass 2: walk the elements; row_images[r] holds row r's image numbers in generator order
-    row_images = list(zip(*images))
-    del rows, row_index, images
+    # pass 2: walk the elements in discovery order, one generator's row images at a time
     start = (0, 1, 2)
     index = {start: 0}
+    order = [start]
     table: list[int] = []
-    frontier = deque([start])
-    while frontier:
-        r0, r1, r2 = frontier.popleft()
-        for b in zip(row_images[r0], row_images[r1], row_images[r2]):
+    for r0, r1, r2 in order:
+        for im in images:
+            b = (im[r0], im[r1], im[r2])
             j = index.get(b)
             if j is None:
-                j = len(index)
+                j = len(order)
                 if j >= cap:
                     raise CapExceeded(partial_count=j, cap=cap)
                 index[b] = j
-                frontier.append(b)
+                order.append(b)
             table.append(j)
+    del order, images
+    traces = None
+    if diagonals is not None and len(index) > 2 * (ring.cardinality + 1):
+        traces = _trace_counts(gens, form, diagonals, index)
     del index  # before the columns copy the table: the walk's peak is here
     k = len(gens)
-    return GeneratedGroup(list(gens), [table[g::k] for g in range(k)])
+    return GeneratedGroup(list(gens), [table[g::k] for g in range(k)], traces)
+
+
+def _trace_counts(gens: Sequence[Mat3], form: Mat3, diagonals: tuple[tuple[int, ...], ...],
+                  index: dict[tuple, int]) -> dict[int, int]:
+    """Certify each generator in SO(3, form), then count the elements by trace.
+
+    Raises InvariantViolation unless g^T B g = B and det g = 1 for every
+    generator g.  ``diagonals[i][r]`` is entry i of row r, so element
+    (r0, r1, r2) has the trace d0[r0] + d1[r1] + d2[r2].  Over GF(p^k),
+    k >= 2, each entry's base-p digits are first packed into bit fields wide
+    enough for a sum of three digits, so one int addition adds three entries
+    without a carry between digits.  Each distinct sum is reduced once.
+    """
+    ring = form.ring
+    b, mat_mul, one = form.vals, ring._mat_mul, ring._from_int(1)
+    for g in gens:
+        v = g.vals
+        # on codes, so that the closure's only Mat3 products stay those of its row orbit
+        if mat_mul(mat_mul(v[0::3] + v[1::3] + v[2::3], b), v) != b or g.det().val != one:
+            raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
+    p, k = ring.modulus, getattr(ring, "degree", 1)  # Z/pZ has no degree attribute
+    width = (3 * p).bit_length()
+    if k > 1:
+        # every code's packing, one low digit at a time; q < |G| / 2 here, so
+        # the table costs less than the walk
+        packed = [0]
+        for _ in range(k):
+            packed = [x << width | c for x in packed for c in range(p)]
+        diagonals = [[packed[u] for u in d] for d in diagonals]
+    d0, d1, d2 = diagonals
+    sums = Counter(d0[r0] + d1[r1] + d2[r2] for r0, r1, r2 in index)
+    mask = (1 << width) - 1
+    traces: Counter[int] = Counter()
+    for x, count in sums.items():
+        code = 0
+        for i in reversed(range(k)):
+            code = code * p + (x >> width * i & mask) % p
+        traces[code] += count
+    return dict(traces)
 
 
 def _schreier_tree(cols: list[list[int]], n: int) -> tuple[array, bytearray]:
@@ -223,6 +280,21 @@ def _conjugacy_classes(cols: list[list[int]], parent: array,
 def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     """Element-order multiset plus abelian flag and center size.
 
+    Two paths give the same fingerprint.  Both first sweep the table with
+    the closure's breadth-first tree, which rejects a table not numbered in
+    discovery order.
+
+    The trace path serves groups that ``generate`` certified in SO(3, B) for
+    a form B with det B != 0 over a field of odd order q, with
+    |G| > 2(q + 1): it reads each element's order from its trace (see
+    ``_trace_orders``).  A subgroup of SO(3, q) = PGL(2, q) with a nontrivial
+    center is abelian or dihedral, of order at most 2(q + 1) (Dickson,
+    *Linear Groups*, ch. XII; Huppert, *Endliche Gruppen I*, II.8.27), so
+    the center is 1 and the group is not abelian.  |G| must divide
+    q(q^2 - 1), the order of PGL(2, q).
+
+    The class path serves every other group (composite moduli,
+    characteristic 2, degenerate forms, small groups) and is the reference.
     Everything is read from the Cayley table, and no matrix is multiplied
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
     section 3.1 and chapter 4).  The closure's breadth-first tree gives
@@ -236,12 +308,20 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     identity) comes back after n steps.  The power a^k has order
     n / gcd(k, n), so the walk also settles the classes of a's powers.
 
-    A table that the tree sweep rejects, or a walk longer than |G|, raises
+    A table that the tree sweep rejects, a walk longer than |G|, or a
+    certified group whose order does not divide q(q^2 - 1) raises
     InvariantViolation.
     """
     n_elems = G.order
     cols = G.cayley
     parent, gen = _schreier_tree(cols, n_elems)
+    if G.traces is not None:
+        ring = G.generators[0].ring
+        q = ring.cardinality
+        if q * (q * q - 1) % n_elems:
+            raise InvariantViolation(
+                f"|G| = {n_elems} does not divide |PGL(2, {q})| = {q * (q * q - 1)}")
+        return GroupFingerprint(n_elems, _trace_orders(ring, G.traces), False, 1)
     class_of, reps, sizes = _conjugacy_classes(cols, parent, gen)
 
     class_order = [0] * len(reps)
@@ -275,21 +355,83 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     return GroupFingerprint(n_elems, tuple(sorted(counts.items())), center == n_elems, center)
 
 
+def _lucas_v(ring, s: int, n: int) -> int:
+    """V_n(s), with V_0 = 2, V_1 = s, V_(m+1) = s V_m - V_(m-1), on ring codes.
+
+    V_n(lam + 1/lam) = lam^n + lam^(-n).  The ladder keeps (V_m, V_(m+1)) and
+    uses V_2m = V_m^2 - 2 and V_(2m+1) = V_m V_(m+1) - s.
+    """
+    mul, sub = ring._mul, ring._sub
+    two = ring._from_int(2)
+    a, b = two, s
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            a, b = sub(mul(a, b), s), sub(mul(b, b), two)
+        else:
+            a, b = sub(mul(a, a), two), sub(mul(a, b), s)
+    return a
+
+
+def _trace_orders(ring, traces: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The order spectrum of a group in SO(3, B), from its count of elements per trace.
+
+    Over a field of odd order q = p^k, an element g with trace t has
+    eigenvalues 1, lam, 1/lam with lam + 1/lam = s = t - 1.  An orthogonal
+    group in odd characteristic has no lone Jordan block of even size at
+    +-1 (G. E. Wall, J. Austral. Math. Soc. 3, 1963), so:
+
+    - t = 3: every eigenvalue is 1, and g is the identity or one 3x3
+      Jordan block, of order p.
+    - s = -2: the eigenvalues are 1, -1, -1, and g has order 2.
+    - otherwise g is semisimple of order ord(lam).  lam lies in F_q, of
+      order dividing q - 1, exactly when s^2 - 4 is a square, that is when
+      V_(q-1)(s) = 2; otherwise lam has norm 1 in F_(q^2) and its order
+      divides q + 1.  lam^n = 1 exactly when V_n(s) = 2, and the least such
+      n is found by dividing out prime factors.
+    """
+    p, q = ring.modulus, ring.cardinality
+    one, two, three, minus_two = map(ring._from_int, (1, 2, 3, -2))
+    counts: Counter[int] = Counter()
+    for t, count in traces.items():
+        if t == three:
+            counts[1] += 1
+            if count > 1:
+                counts[p] += count - 1
+            continue
+        s = ring._sub(t, one)
+        if s == minus_two:
+            counts[2] += count
+            continue
+        n = q - 1 if _lucas_v(ring, s, q - 1) == two else q + 1
+        for f in _prime_factors(n):
+            while n % f == 0 and _lucas_v(ring, s, n // f) == two:
+                n //= f
+        counts[n] += count
+    return tuple(sorted(counts.items()))
+
+
 # ---------------------------------------------------------------------------
 # recognition
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _totient(n: int) -> int:
     out = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for d in _prime_factors(n):
+        out -= out // d
     return out
 
 

@@ -67,15 +67,17 @@ SQRT_SEARCH_CAP = 10**6
 MAX_EXTENSION_DEGREE = 4
 # extension fields up to this size multiply matrices through q x q tables
 TABLE_FIELD_BOUND = 64
+# is_prime's Miller-Rabin test to the bases 2 .. 41 proves primality below this
+MILLER_RABIN_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
     """Primality by trial division below 10**10, by Miller-Rabin above.
 
     The strong test to the 13 prime bases 2 .. 41 is a proof below
-    3,317,044,064,679,887,385,961,981 (J. Sorenson and J. Webster, *Math.
-    Comp.* 86, 2017); a larger n that passes it is confirmed by trial
-    division.
+    MILLER_RABIN_PROOF_BOUND (J. Sorenson and J. Webster, *Math. Comp.* 86,
+    2017).  A larger n that passes it cannot be proven prime here, and
+    raises UnsupportedRing; one that fails it is composite.
     """
     if n < 2:
         return False
@@ -98,8 +100,11 @@ def is_prime(n: int) -> bool:
                     break
             else:
                 return False
-        if n < 3_317_044_064_679_887_385_961_981:
-            return True
+        if n >= MILLER_RABIN_PROOF_BOUND:
+            raise UnsupportedRing(
+                f"cannot prove {n} prime: Miller-Rabin to the bases 2 .. 41 is a proof "
+                f"only below {MILLER_RABIN_PROOF_BOUND:,}")
+        return True
     d = 3
     while d * d <= n:
         if n % d == 0:
@@ -649,18 +654,35 @@ class _TableField(_ExtensionField):
     """GF(p^k), k >= 2, with q <= TABLE_FIELD_BOUND: every operation reads tables.
 
     The q x q add and mul tables and the q negations are built in the
-    constructor from :class:`_ExtensionField`'s coefficient operations.  The
-    tables are stored as q rows, so each lookup is two subscripts, and
+    constructor.  Addition is digitwise mod p, so the add table is built
+    one base-p digit at a time, and -u is the code whose sum with u is 0.
+    The mul table comes from the powers of the first primitive code g (the
+    smallest code of multiplicative order q - 1): u * v = g^(log u + log v).
+    The tables are stored as q rows, so each lookup is two subscripts, and
     subtraction adds the negation.
     """
 
     def __init__(self, p: int, k: int, ext_poly: tuple[int, ...] | None = None):
         super().__init__(p, k, ext_poly)
-        q = range(self.cardinality)
-        add, mul, neg = _ExtensionField._add, _ExtensionField._mul, _ExtensionField._neg
-        self._add_rows = [[add(self, u, v) for v in q] for u in q]
-        self._mul_rows = [[mul(self, u, v) for v in q] for u in q]
-        self._negs = [neg(self, u) for u in q]
+        q = self.cardinality
+        # the add table for codes of j digits, extended by one low digit at a time
+        add_rows = [[0]]
+        for _ in range(k):
+            add_rows = [[s * p + (a + b) % p for s in row for b in range(p)]
+                        for row in add_rows for a in range(p)]
+        self._add_rows = add_rows
+        self._negs = [row.index(0) for row in add_rows]
+        one = self._from_int(1)
+        for g in range(1, q):
+            exp = [one, g]
+            while exp[-1] != one:
+                exp.append(_ExtensionField._mul(self, exp[-1], g))
+            if len(exp) == q:
+                break
+        # exp runs g^0 .. g^(q-1) = 1; doubled, a sum of two logs needs no reduction
+        exp = exp[:-1] * 2
+        logs = [exp.index(v) for v in range(1, q)]
+        self._mul_rows = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
 
     def _add(self, u, v):
         return self._add_rows[u][v]

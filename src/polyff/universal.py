@@ -98,6 +98,30 @@ def make_rhos(params: PolyhedronParams) -> tuple[Mat3, Mat3, Mat3]:
     return rv, re, rf
 
 
+def invariant_form(params: PolyhedronParams) -> Mat3 | None:
+    """The symmetric form B with g^T B g = B for each rotation g, or None.
+
+    B = [[xy - x + y + 3, -2(x - 1), c], [-2(x - 1), -2(x - 1), c], [c, c, c]]
+    with c = (x - 1)(y - 1), and det B = -(x - 1)^2 (x + 1)(y - 1)(y + 1)^2.
+    Returns None unless the ring is a field of odd order and det B != 0
+    (x, y != +-1): only then is the rotation group a subgroup of
+    SO(3, B) = PGL(2, q).  The entries are computed on codes, once per row.
+    """
+    ring = params.ring
+    if not ring.is_field or ring.cardinality % 2 == 0:
+        return None
+    x, y = params.x.val, params.y.val
+    add, sub, mul = ring._add, ring._sub, ring._mul
+    one = ring._from_int(1)
+    x_minus_one, y_minus_one = sub(x, one), sub(y, one)
+    if not (mul(x_minus_one, add(x, one)) and mul(y_minus_one, add(y, one))):
+        return None
+    b = mul(ring._from_int(-2), x_minus_one)
+    c = mul(x_minus_one, y_minus_one)
+    corner = add(sub(mul(x, y), x), add(y, ring._from_int(3)))
+    return Mat3._raw(ring, (corner, b, c, b, b, c, c, c, c))
+
+
 @dataclass(frozen=True)
 class RelationReport:
     """Pass/fail results of the defining relations at one parameter pair."""

@@ -157,6 +157,14 @@ def test_grid_modulus_too_small(capsys):
     assert code == 2
 
 
+def test_unproven_prime_modulus_exits_2(capsys):
+    code, out, err = run(capsys, "analyze", "--ring", "zmod:10000000000000000000000013",
+                         "--x", "2", "--y", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("polyff: cannot prove 10000000000000000000000013 prime")
+    assert "3,317,044,064,679,887,385,961,981" in err
+
+
 def test_grid_triangular_n3(capsys):
     code, out, _ = run(capsys, "grid", "--family", "triangular", "--n", "3")
     report = json.loads(out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -20,7 +21,7 @@ from polyff.groupgen import (
 )
 from polyff.mat3 import Mat3
 from polyff.rings import GaloisField, ZMod, ring_make
-from polyff.universal import PolyhedronParams, make_rhos, make_sigmas
+from polyff.universal import PolyhedronParams, invariant_form, make_rhos, make_sigmas
 
 from oracles import (
     TupleField,
@@ -235,6 +236,79 @@ def test_spectrum_matches_per_element_reference(spec):
             fp = order_spectrum(group)
             assert (fp.order, fp.spectrum, fp.abelian, fp.center_size) \
                 == reference_fingerprint(group), (spec, x, y)
+
+
+@pytest.mark.parametrize("spec", ["zmod:7", "gf:5", "gf:7", "gf:3^2", "gf:11", "gf:13"])
+def test_trace_spectrum_matches_class_spectrum(spec):
+    # every row with an invariant form; the class path reads the same table without traces
+    ring = ring_make(spec)
+    traced = 0
+    for x, y in itertools.product(ring.elements(), repeat=2):
+        params = PolyhedronParams(x, y)
+        form = invariant_form(params)
+        if form is None:
+            continue
+        group = generate(list(make_rhos(params)), form=form)
+        assert (group.traces is not None) == (group.order > 2 * (ring.cardinality + 1))
+        if group.traces is None:
+            continue
+        traced += 1
+        assert sum(group.traces.values()) == group.order
+        assert order_spectrum(group) \
+            == order_spectrum(GeneratedGroup(group.generators, group.cayley)), (spec, x, y)
+    assert traced >= ring.cardinality
+
+
+def test_group_at_the_dickson_bound_keeps_the_class_path():
+    # a Sylow 2-subgroup of SO(3, B) = PGL(2, 3) = S4 is dihedral of order
+    # 2(q + 1) = 8, with a center of order 2: the trace path would say 1
+    ring = ring_make("gf:3")
+    params = PolyhedronParams(ring.zero, ring.zero)
+    form = invariant_form(params)
+    elements = closure_elements(generate(list(make_rhos(params))))
+    assert len(elements) == 24
+    for a, b in itertools.combinations(elements, 2):
+        group = generate([a, b], form=form)
+        if group.order == 8:
+            break
+    assert group.traces is None
+    fp = order_spectrum(group)
+    assert (fp.spectrum, fp.center_size) == (dihedral_spectrum(4), 2)
+
+
+def test_form_not_preserved_raises():
+    ring = ring_make("zmod:7")
+    params = PolyhedronParams(ring.elem(2), ring.elem(3))
+    rhos = list(make_rhos(params))
+    with pytest.raises(InvariantViolation, match="not in SO"):
+        generate(rhos, form=Mat3.identity(ring))
+    # the reflections preserve the form, but their determinant is -1
+    with pytest.raises(InvariantViolation, match="not in SO"):
+        generate(list(make_sigmas(params)), form=invariant_form(params))
+    assert generate(rhos, form=invariant_form(params)).traces is not None
+
+
+def test_certified_order_must_divide_pgl2_order():
+    # a 7-cycle table claimed to lie in SO(3, B) over GF(5); |PGL(2, 5)| = 120
+    group = _rotation_group("gf:5", 0, 0)
+    cycle = GeneratedGroup(group.generators[:1], [[1, 2, 3, 4, 5, 6, 0]], traces={3: 7})
+    with pytest.raises(InvariantViolation, match="does not divide"):
+        order_spectrum(cycle)
+
+
+def test_invariant_form_only_for_odd_fields_and_nonzero_determinant():
+    for spec in ("gf:2^3", "zmod:9"):
+        ring = ring_make(spec)
+        assert invariant_form(PolyhedronParams(ring.from_int(2), ring.from_int(3))) is None
+    for spec in ("gf:7", "gf:3^2"):
+        ring = ring_make(spec)
+        one, two, three = ring.one, ring.from_int(2), ring.from_int(3)
+        for x, y in itertools.product(ring.elements(), repeat=2):
+            c = (x - one) * (y - one)
+            b = -(two * (x - one))
+            expected = Mat3(ring, [x * y - x + y + three, b, c, b, b, c, c, c, c])
+            form = invariant_form(PolyhedronParams(x, y))
+            assert form == (None if expected.det() == ring.zero else expected), (spec, x, y)
 
 
 def test_spectrum_rejects_unreached_index():

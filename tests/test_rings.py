@@ -120,6 +120,20 @@ def test_is_prime_is_fast_on_large_moduli():
     assert time.perf_counter() - start < 1.0
 
 
+def test_is_prime_refuses_moduli_past_the_proven_bound():
+    # passes Miller-Rabin to the bases 2 .. 41 above the bound where that is a proof;
+    # confirming it by trial division would take about 10^12 steps
+    n = 10_000_000_000_000_000_000_000_013
+    assert n > rings.MILLER_RABIN_PROOF_BOUND
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedRing, match="3,317,044,064,679,887,385,961,981"):
+        ZMod(n)
+    with pytest.raises(UnsupportedRing, match="cannot prove"):
+        ring_make(f"gf:{n}")
+    assert not rings.is_prime(n + 2)  # a composite still fails the test
+    assert time.perf_counter() - start < 1.0
+
+
 def test_irreducibility_matches_trial_division():
     for p in (2, 3, 5, 7):
         for k in range(1, 5):
@@ -284,6 +298,19 @@ def test_extension_arithmetic_matches_tuple_oracle(spec, cls):
         if u:
             assert x.inv().val == code(oracle.inv(tup(u)))
     assert type(ring) is cls
+
+
+@pytest.mark.parametrize("spec", ["gf:2^2", "gf:2^3", "gf:2^4", "gf:3^2", "gf:3^3",
+                                  "gf:5^2", "gf:7^2"])
+def test_table_field_tables_match_coefficient_arithmetic(spec):
+    # the tables come from digit sums and powers of a primitive code; the
+    # coefficient operations they replace stay the reference
+    ring = ring_make(spec)
+    assert type(ring) is _TableField
+    q = range(ring.cardinality)
+    assert ring._add_rows == [[_ExtensionField._add(ring, u, v) for v in q] for u in q]
+    assert ring._mul_rows == [[_ExtensionField._mul(ring, u, v) for v in q] for u in q]
+    assert ring._negs == [_ExtensionField._neg(ring, u) for u in q]
 
 
 def test_racing_table_builds_give_equal_products():
