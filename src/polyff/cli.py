@@ -176,7 +176,7 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
 
     With ``exact``, the dart key is the bytes of the three dart permutations,
     equal for two rows exactly when their maps are equivalent.  ``generate``
-    numbers the darts by a breadth-first walk from dart 0 (``order_spectrum``
+    numbers the darts by a breadth-first walk from dart 0 (``dart_model``
     rejects any other numbering).  The actions are regular, so a conjugating
     bijection may be taken to fix dart 0, and along the walk it fixes all.
     """
@@ -189,9 +189,6 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
                "fingerprint": "", "recognized": "cap_exceeded",
                "cap_exceeded": True}
         return row, None
-    if not report.degenerate and report.euler != 2 - 2 * report.genus:
-        raise InvariantViolation(
-            f"euler/genus mismatch at (x, y) = ({x}, {y})")
     d = report_dict(ring, params, report)
     row = {col: d[col] for col in SCAN_COLUMNS}
     row["cap_exceeded"] = False

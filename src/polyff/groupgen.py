@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .errors import CapExceeded, InvariantViolation, MixedRings, NonInvertibleGenerator
 from .mat3 import Mat3
+from .rings import _prime_factors
 
 CLOSURE_CAP_DEFAULT = 10**6
 
@@ -205,7 +206,7 @@ def _trace_counts(gens: Sequence[Mat3], form: Mat3, diagonals: tuple[tuple[int, 
     return dict(traces)
 
 
-def _schreier_tree(cols: list[list[int]], n: int) -> tuple[array, bytearray]:
+def schreier_tree(cols: Sequence[Sequence[int]], n: int) -> tuple[array, bytearray]:
     """The closure's breadth-first tree, read back from its Cayley table.
 
     Returns ``parent`` and ``gen`` with ``j = parent[j] * generators[gen[j]]``
@@ -213,7 +214,9 @@ def _schreier_tree(cols: list[list[int]], n: int) -> tuple[array, bytearray]:
     elements in discovery order, so a row-by-row sweep of the table meets
     each new index exactly when it is the next unseen one.  Raises
     InvariantViolation when an index is never reached from index 0 or the
-    table is not numbered in discovery order.
+    table is not numbered in discovery order.  This is the one check of that
+    numbering, and each reader of it runs the sweep: ``order_spectrum``'s
+    class path and ``regmap.dart_model``.
     """
     parent = array("l", [0]) * n
     gen = bytearray(n)
@@ -280,9 +283,7 @@ def _conjugacy_classes(cols: list[list[int]], parent: array,
 def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     """Element-order multiset plus abelian flag and center size.
 
-    Two paths give the same fingerprint.  Both first sweep the table with
-    the closure's breadth-first tree, which rejects a table not numbered in
-    discovery order.
+    Two paths give the same fingerprint.
 
     The trace path serves groups that ``generate`` certified in SO(3, B) for
     a form B with det B != 0 over a field of odd order q, with
@@ -291,14 +292,16 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     center is abelian or dihedral, of order at most 2(q + 1) (Dickson,
     *Linear Groups*, ch. XII; Huppert, *Endliche Gruppen I*, II.8.27), so
     the center is 1 and the group is not abelian.  |G| must divide
-    q(q^2 - 1), the order of PGL(2, q).
+    q(q^2 - 1), the order of PGL(2, q).  It reads only |G| and the trace
+    counts, not the element numbering, so it sweeps nothing.
 
     The class path serves every other group (composite moduli,
     characteristic 2, degenerate forms, small groups) and is the reference.
     Everything is read from the Cayley table, and no matrix is multiplied
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
-    section 3.1 and chapter 4).  The closure's breadth-first tree gives
-    left multiplication and conjugation by each generator, and from them
+    section 3.1 and chapter 4).  The closure's breadth-first tree, whose
+    sweep rejects a table not numbered in discovery order, gives left
+    multiplication and conjugation by each generator, and from them
     the conjugacy classes.  The center is the set of one-element classes,
     and the group is abelian when its center is all of it.
 
@@ -308,13 +311,11 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     identity) comes back after n steps.  The power a^k has order
     n / gcd(k, n), so the walk also settles the classes of a's powers.
 
-    A table that the tree sweep rejects, a walk longer than |G|, or a
-    certified group whose order does not divide q(q^2 - 1) raises
+    A certified group whose order does not divide q(q^2 - 1), a table that
+    the tree sweep rejects, or a walk longer than |G| raises
     InvariantViolation.
     """
     n_elems = G.order
-    cols = G.cayley
-    parent, gen = _schreier_tree(cols, n_elems)
     if G.traces is not None:
         ring = G.generators[0].ring
         q = ring.cardinality
@@ -322,6 +323,8 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
             raise InvariantViolation(
                 f"|G| = {n_elems} does not divide |PGL(2, {q})| = {q * (q * q - 1)}")
         return GroupFingerprint(n_elems, _trace_orders(ring, G.traces), False, 1)
+    cols = G.cayley
+    parent, gen = schreier_tree(cols, n_elems)
     class_of, reps, sizes = _conjugacy_classes(cols, parent, gen)
 
     class_order = [0] * len(reps)
@@ -412,21 +415,6 @@ def _trace_orders(ring, traces: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 # ---------------------------------------------------------------------------
 # recognition
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
 
 def _totient(n: int) -> int:
     out = n

@@ -113,6 +113,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (dense ascending-coefficient tuples)
 
@@ -800,18 +815,7 @@ class QuadRational:
 
     def denominator_primes(self) -> set[int]:
         """Primes dividing the reduced denominator."""
-        c = self.c
-        out = set()
-        d = 2
-        while d * d <= c:
-            if c % d == 0:
-                out.add(d)
-                while c % d == 0:
-                    c //= d
-            d += 1
-        if c > 1:
-            out.add(c)
-        return out
+        return set(_prime_factors(self.c))
 
     def to_json(self) -> dict[str, int]:
         return {"a": self.a, "b": self.b, "c": self.c}

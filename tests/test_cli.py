@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from polyff import cli
+from polyff import cli, groupgen, regmap
 from polyff.cli import _scan_row, main, run_pipeline
 from polyff.groupgen import CLOSURE_CAP_DEFAULT
 from polyff.regmap import DartModel, dart_model, maps_equivalent
@@ -208,6 +208,24 @@ def test_scan_rows_run_on_the_calling_thread(capsys, monkeypatch):
     code, _, _ = run(capsys, "scan", "--ring", "gf:3", "--width", "8")
     assert code == 0
     assert threads == [threading.get_ident()] * 9
+
+
+@pytest.mark.parametrize("argv, sweeps", [
+    (["--ring", "zmod:29", "--x", "2", "--y", "3"], 0),  # trace path: reads no numbering
+    (["--ring", "zmod:29", "--x", "2", "--y", "3", "--darts"], 1),  # dart_model
+    (["--ring", "gf:2^3", "--x", "t", "--y", "t+1"], 1),  # class path
+])
+def test_schreier_sweep_runs_only_where_the_numbering_is_read(capsys, monkeypatch, argv, sweeps):
+    sweep, sizes = groupgen.schreier_tree, []
+
+    def counted(cols, n):
+        sizes.append(n)
+        return sweep(cols, n)
+    monkeypatch.setattr(regmap, "schreier_tree", counted)
+    monkeypatch.setattr(groupgen, "schreier_tree", counted)
+    code, _, _ = run(capsys, "analyze", *argv)
+    assert code == 0
+    assert len(sizes) == sweeps
 
 
 def test_scan_json_classes(capsys):

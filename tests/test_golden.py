@@ -20,7 +20,10 @@ The report's assembly is pinned per command: the grid prediction with a
 verdict (triangular n = 7, text) and without one (square n = 2, whose
 report is degenerate, so ``match`` is null), the bad-prime keys of
 ``catalog``, the one-row csv of ``specialize``, and scan rows stopped by
-``--cap`` (zmod:9, exit 4).
+``--cap`` (zmod:9, exit 4).  The gf:3^2 exact scan pins the dart keys over
+an odd extension field, where ``dart_model`` is the only check of a
+certified row's numbering, and the gf:7^2 analysis pins the 117,600-element
+group PGL(2, 49) on the trace path.
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -72,6 +75,8 @@ CASES = {
     "specialize-cube-gf5-csv": ["specialize", "--solid", "cube", "--ring", "gf:5",
                                 "--format", "csv"],
     "scan-zmod9-cap20-json": ["scan", "--ring", "zmod:9", "--cap", "20", "--format", "json"],
+    "scan-gf9-json-exact": ["scan", "--ring", "gf:3^2", "--format", "json", "--exact-dedupe"],
+    "analyze-gf49-x-t-y-t1": ["analyze", "--ring", "gf:7^2:t^2+2", "--x", "t", "--y", "t+1"],
 }
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from polyff.errors import NonIntegralGenus
-from polyff.groupgen import generate
+from polyff.errors import InvariantViolation, NonIntegralGenus
+from polyff.groupgen import GeneratedGroup, generate
 from polyff.regmap import (
     DartModel,
     _half,
@@ -146,6 +146,14 @@ def test_counts_satisfy_group_identities():
         assert report.euler == 2 - 2 * report.genus
 
 
+def test_analyze_stops_on_a_column_that_does_not_return():
+    group, _ = _run("gf:5", 0, 0)
+    # 0 -> 1 -> 2 -> 2: rho_v's walk from index 0 never comes back to it
+    broken = GeneratedGroup(group.generators, [[1, 2, 2], [0, 1, 2], [0, 1, 2]])
+    with pytest.raises(InvariantViolation, match="does not return to index 0"):
+        analyze(broken)
+
+
 def test_analyze_needs_three_rotations():
     ring = ring_make("gf:5")
     params = PolyhedronParams(ring.from_int(0), ring.from_int(0))
@@ -195,6 +203,22 @@ def test_square_tiling_z4_dart_involution():
     assert model.degree == 16
     pe = model.perm_e
     assert all(pe[pe[i]] == i and pe[i] != i for i in range(16))
+
+
+def test_dart_model_rejects_a_table_out_of_discovery_order():
+    group, _ = _run("gf:5", 0, 0)
+    n = group.order
+    # swapping two nonzero indices conjugates every column by one bijection:
+    # the action stays transitive and regular, but the darts are no longer
+    # numbered in breadth-first discovery order
+    swap = list(range(n))
+    swap[1], swap[n - 1] = n - 1, 1
+    cayley = [[0] * n for _ in group.cayley]
+    for old, new in zip(group.cayley, cayley):
+        for i, j in enumerate(old):
+            new[swap[i]] = swap[j]
+    with pytest.raises(InvariantViolation, match="discovery order"):
+        dart_model(GeneratedGroup(group.generators, cayley))
 
 
 def test_dart_export_round_trip():
