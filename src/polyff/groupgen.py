@@ -4,15 +4,16 @@ Closure is a breadth-first walk from the identity under right
 multiplication by the generators, which gives a deterministic element
 order (discovery order) for any fixed generator list.  It runs in two
 passes.  The first numbers the orbit of the identity rows, multiplying
-three stacked rows by each generator at a time, so its products follow
-the number of rows (about 3q^2 over a field of q elements), not the
-number of Cayley edges (three per element, about q^3 elements).  The
-second walks the elements as triples of row numbers and reads each edge
-from the row images, with no product.  The resulting group is summarized
-by an isomorphism-invariant fingerprint: order, multiset of element
-orders, abelian flag, and center size.  For the small groups named in
-the recognition table the fingerprint identifies the group; this is a
-lookup guarantee for table entries only, not a general isomorphism test.
+each breadth-first frontier of rows by each generator in one call, so its
+products follow the number of rows (about 3q^2 over a field of q
+elements), not the number of Cayley edges (three per element, about q^3
+elements).  The second walks the elements as triples of row numbers and
+reads each edge from the row images, with no product.  The resulting
+group is summarized by an isomorphism-invariant fingerprint: order,
+multiset of element orders, abelian flag, and center size.  For the small
+groups named in the recognition table the fingerprint identifies the
+group; this is a lookup guarantee for table entries only, not a general
+isomorphism test.
 """
 
 from __future__ import annotations
@@ -85,11 +86,12 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
 
     1. Row orbit.  The rows of the elements are the orbit of the three
        identity rows.  Each distinct row vector (three entry codes) is
-       numbered when first seen; the next three rows whose images are
-       unknown are stacked into one matrix and multiplied by each
-       generator.  R rows cost ceil(R / 3) products per generator, plus
-       one for each batch of fewer than three rows after which new rows
-       still turn up.
+       numbered when first seen.  The orbit is walked one breadth-first
+       frontier at a time: the rows numbered but not yet multiplied go to
+       the ring's ``_rows_mul`` in one call per generator, which splits or
+       packs the generator's entries once.  R rows cost exactly R row
+       products per generator, in one call per generator per frontier
+       (near the cap, per chunk of a frontier; see below).
     2. Element walk.  An element is the triple of its rows' numbers, and
        its image under generator g is the triple of their images, so the
        walk makes no product: one dict lookup per edge.
@@ -98,7 +100,9 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
     matrices.  Raises CapExceeded if the closure passes ``cap`` elements:
     during the walk, or in the orbit pass once it numbers more than 3 * cap
     rows (every row is a row of an element, so the group is then larger
-    than ``cap``).  Either way ``partial_count`` is ``cap``.
+    than ``cap``).  Either way ``partial_count`` is ``cap``.  The orbit pass
+    cuts a frontier into chunks small enough that it numbers at most
+    3 * cap + 3 * len(gens) rows before it stops.
 
     ``form`` is a symmetric matrix B with det B != 0 over a field of odd
     order q, or None.  When it is given and |G| > 2(q + 1), every generator
@@ -121,18 +125,18 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
     rows = [ident[0:3], ident[3:6], ident[6:9]]
     row_index = {row: r for r, row in enumerate(rows)}
     images: list[list[int]] = [[] for _ in gens]
+    k, rows_mul = len(gens), ring._rows_mul
     done = 0
     while done < len(rows):
         if len(rows) > 3 * cap:
             raise CapExceeded(partial_count=cap, cap=cap)
-        batch = rows[done:done + 3]
-        done += len(batch)
-        # a short batch is padded with identity rows, whose images are dropped
-        stacked = Mat3._raw(ring, sum(batch, ()) + ident[3 * len(batch):])
+        # the frontier is every row not yet multiplied; a chunk of c rows adds
+        # at most c per generator, so cutting it keeps at most 3 * cap + 3 * k
+        # rows numbered
+        frontier = rows[done:done + (3 * cap - len(rows)) // k + 3]
+        done += len(frontier)
         for g, image in zip(gens, images):
-            vals = (stacked * g).vals
-            for i in range(0, 3 * len(batch), 3):
-                row = vals[i:i + 3]
+            for row in rows_mul(frontier, g.vals):
                 s = row_index.get(row)
                 if s is None:
                     s = row_index[row] = len(rows)
@@ -163,7 +167,6 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
     if diagonals is not None and len(index) > 2 * (ring.cardinality + 1):
         traces = _trace_counts(gens, form, diagonals, index)
     del index  # before the columns copy the table: the walk's peak is here
-    k = len(gens)
     return GeneratedGroup(list(gens), [table[g::k] for g in range(k)], traces)
 
 
@@ -179,11 +182,13 @@ def _trace_counts(gens: Sequence[Mat3], form: Mat3, diagonals: tuple[tuple[int, 
     without a carry between digits.  Each distinct sum is reduced once.
     """
     ring = form.ring
-    b, mat_mul, one = form.vals, ring._mat_mul, ring._from_int(1)
+    b, rows_mul, one = form.vals, ring._rows_mul, ring._from_int(1)
+    form_rows = [b[0:3], b[3:6], b[6:9]]
     for g in gens:
         v = g.vals
-        # on codes, so that the closure's only Mat3 products stay those of its row orbit
-        if mat_mul(mat_mul(v[0::3] + v[1::3] + v[2::3], b), v) != b or g.det().val != one:
+        # the rows of g^T are the columns of g
+        if rows_mul(rows_mul((v[0::3], v[1::3], v[2::3]), b), v) != form_rows \
+                or g.det().val != one:
             raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
     p, k = ring.modulus, getattr(ring, "degree", 1)  # Z/pZ has no degree attribute
     width = (3 * p).bit_length()

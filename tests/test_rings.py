@@ -40,7 +40,8 @@ from polyff.rings import (
     sqrt_in_field,
 )
 
-from oracles import TupleField, search_sqrt, trial_division_irreducible, trial_division_prime
+from oracles import (TupleField, mat_mul_mod, search_sqrt, trial_division_irreducible,
+                     trial_division_prime)
 
 RINGS = [
     ZMod(12),
@@ -313,28 +314,64 @@ def test_table_field_tables_match_coefficient_arithmetic(spec):
     assert ring._negs == [_ExtensionField._neg(ring, u) for u in q]
 
 
+@pytest.mark.parametrize("spec, cls", [
+    ("zmod:15", ZMod), ("gf:7", GaloisField), ("gf:2^3", _TableField), ("gf:7^2", _TableField),
+    ("gf:997^2", _QuadraticField), ("gf:3^4", _ExtensionField),
+])
+def test_rows_mul_matches_oracle(spec, cls):
+    # each ring's one product kernel, on batches of every small size and one
+    # large one, against the triple-loop product of the oracles
+    ring = ring_make(spec)
+    assert type(ring) is cls
+    q = ring.cardinality
+    if cls in (ZMod, GaloisField):
+        def oracle(a, b):
+            return mat_mul_mod(a, b, q)
+    else:
+        field = TupleField(ring.modulus, ring.ext_poly)
+
+        def oracle(a, b):
+            tup = field.from_code
+            product = field.mat_mul([tup(c) for c in a], [tup(c) for c in b])
+            return tuple(map(field.to_code, product))
+    rng = random.Random(spec)
+    # q - 1 in every entry gives the largest unreduced sums
+    top = (q - 1,) * 9
+    for n in (0, 1, 2, 3, 4, 200):
+        rows = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(n)]
+        if rows:
+            rows[0] = top[:3]
+        for b in (tuple(rng.randrange(q) for _ in range(9)), top):
+            # a row times b is the first row of the matrix with that row and two zero rows
+            expected = [oracle(row + (0,) * 6, b)[:3] for row in rows]
+            assert ring._rows_mul(rows, b) == expected
+    for _ in range(20):
+        a, b = (tuple(rng.randrange(q) for _ in range(9)) for _ in range(2))
+        assert (Mat3._raw(ring, a) * Mat3._raw(ring, b)).vals == oracle(a, b)
+
+
 def test_racing_table_builds_give_equal_products():
     # rings are immutable once built, so threads may share one and read its tables at once
     workers = 8
     ring, reference = ring_make("gf:7^2"), ring_make("gf:7^2")
     rng = random.Random(3)
-    pairs = [tuple(tuple(rng.randrange(49) for _ in range(9)) for _ in range(2))
-             for _ in range(workers)]
+    jobs = [([tuple(rng.randrange(49) for _ in range(3)) for _ in range(5)],
+             tuple(rng.randrange(49) for _ in range(9))) for _ in range(workers)]
     start = threading.Barrier(workers, timeout=30)
 
-    def first_product(pair):
+    def first_product(job):
         start.wait()
-        return ring._mat_mul(*pair)
+        return ring._rows_mul(*job)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(first_product, pairs, timeout=60))
+            results = list(pool.map(first_product, jobs, timeout=60))
     finally:
         sys.setswitchinterval(old)
-    assert results == [reference._mat_mul(*pair) for pair in pairs]
-    assert ring._mat_mul(*pairs[0]) == results[0]
+    assert results == [reference._rows_mul(*job) for job in jobs]
+    assert ring._rows_mul(*jobs[0]) == results[0]
 
 
 # ---------------------------------------------------------------------------
