@@ -26,10 +26,12 @@ from .errors import (
     PolyffError,
     UnsupportedRing,
 )
-from .groupgen import CLOSURE_CAP_DEFAULT, GeneratedGroup, generate
-from .regmap import RegularMapReport, analyze, dart_model
+from .groupgen import (CLOSURE_CAP_DEFAULT, GeneratedGroup, generate, linear_fractional_group,
+                       screened_to_walk)
+from .regmap import RegularMapReport, _map_report, analyze, dart_model
 from .rings import Ring, ZMod, ring_make
-from .universal import GeneratorSet, PolyhedronParams, invariant_form, survey_relations
+from .universal import (GeneratorSet, PolyhedronParams, invariant_form, rotation_traces,
+                        survey_relations)
 
 SCHEMA_VERSION = 1
 SCAN_CARDINALITY_DEFAULT = 64
@@ -40,10 +42,35 @@ SCAN_COLUMNS = ("x", "y", "group_order", "p", "q", "genus",
 
 def run_pipeline(params: PolyhedronParams,
                  cap: int = CLOSURE_CAP_DEFAULT) -> tuple[GeneratedGroup, RegularMapReport]:
-    """Generators -> closure -> map report, for one parameter pair."""
+    """Generators -> closure -> map report, for one parameter pair: the walk any row can take."""
     gens = GeneratorSet.from_params(params)
-    group = generate([gens.rho_v, gens.rho_e, gens.rho_f], cap=cap, form=invariant_form(params))
+    group = generate([gens.rho_v, gens.rho_e, gens.rho_f], cap=cap)
     return group, analyze(group)
+
+
+def _row(params: PolyhedronParams, cap: int, walk: bool = False):
+    """One row's (report, walked group or None, closed-form dedupe key or None).
+
+    A row with an invariant form that ``screened_to_walk`` lets through is
+    answered in closed form; every other row walks.  With ``walk``, a
+    closed-form row walks too, and the walk's |G|, p and q must agree.
+    """
+    gens = GeneratorSet.from_params(params)
+    rhos = [gens.rho_v, gens.rho_e, gens.rho_f]
+    traces = rotation_traces(gens)
+    form = None if screened_to_walk(gens.ring, *traces) else invariant_form(params)
+    if form is None:
+        group = generate(rhos, cap=cap)
+        return analyze(group), group, None
+    fp, p, q, key = linear_fractional_group(rhos, form, traces, cap)
+    report = _map_report(fp.order, p, 2, q, fp)  # rho_e has order 2 in odd characteristic
+    if not walk:
+        return report, None, key
+    group = generate(rhos, cap=cap)
+    if analyze(group, report.fingerprint) != report:
+        raise InvariantViolation(f"the walk of ({params.x}, {params.y}) disagrees with "
+                                 f"its closed form |G| = {report.group_order}")
+    return report, group, key
 
 
 def report_dict(ring: Ring, params: PolyhedronParams, report: RegularMapReport) -> dict:
@@ -112,7 +139,7 @@ def _csv_text(rows: list[dict]) -> str:
 def _report_command(args, ring: Ring, params: PolyhedronParams,
                     extra_keys=lambda report: {}) -> int:
     """Run one parameter pair and emit its report, with the command's extra keys."""
-    group, report = run_pipeline(params, cap=args.cap)
+    report, group, _ = _row(params, args.cap, walk=args.darts)
     d = report_dict(ring, params, report)
     d.update(extra_keys(report))
     if args.darts:
@@ -174,15 +201,16 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
     has more elements, and the closure may have stopped in its row pass
     before it walked any element.
 
-    With ``exact``, the dart key is the bytes of the three dart permutations,
-    equal for two rows exactly when their maps are equivalent.  ``generate``
+    With ``exact``, the key is equal for two rows exactly when their maps
+    are equivalent: a closed-form row's trace key (``linear_fractional_group``),
+    or the bytes of a walked row's three dart permutations.  ``generate``
     numbers the darts by a breadth-first walk from dart 0 (``dart_model``
     rejects any other numbering).  The actions are regular, so a conjugating
     bijection may be taken to fix dart 0, and along the walk it fixes all.
     """
     params = PolyhedronParams(x, y)
     try:
-        group, report = run_pipeline(params, cap=cap)
+        report, group, key = _row(params, cap)
     except CapExceeded as exc:
         row = {"x": str(x), "y": str(y), "group_order": exc.partial_count,
                "p": None, "q": None, "genus": None, "degenerate": True,
@@ -194,7 +222,9 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
     row["cap_exceeded"] = False
     if not exact:
         return row, None
-    return row, b"".join(array("l", perm).tobytes() for perm in dart_model(group).perms())
+    if key is None:
+        key = b"".join(array("l", perm).tobytes() for perm in dart_model(group).perms())
+    return row, key
 
 
 def cmd_scan(args) -> int:

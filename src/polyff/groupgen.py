@@ -1,19 +1,26 @@
-"""Finite closure of matrix generators, order spectra, and group recognition.
+"""Rotation groups in closed form or by closure, order spectra, and recognition.
 
-Closure is a breadth-first walk from the identity under right
-multiplication by the generators, which gives a deterministic element
-order (discovery order) for any fixed generator list.  It runs in two
-passes.  The first numbers the orbit of the identity rows, multiplying
-each breadth-first frontier of rows by each generator in one call, so its
-products follow the number of rows (about 3q^2 over a field of q
-elements), not the number of Cayley edges (three per element, about q^3
-elements).  The second walks the elements as triples of row numbers and
-reads each edge from the row images, with no product.  The resulting
-group is summarized by an isomorphism-invariant fingerprint: order,
-multiset of element orders, abelian flag, and center size.  For the small
-groups named in the recognition table the fingerprint identifies the
-group; this is a lookup guarantee for table entries only, not a general
-isomorphism test.
+Over a field of odd characteristic p, a row whose rotations preserve a
+form B with det B != 0 generates a subgroup of SO(3, B) = PGL(2, q).  By
+Macbeath's classification (A. M. Macbeath, "Generators of the linear
+fractional groups", 1969; Dickson, *Linear Groups*, ch. XII) it is dihedral,
+A4, S4, A5, or PSL(2, q') or PGL(2, q') for the field F_q' that the traces
+of rho_v and rho_f generate.  ``linear_fractional_group`` answers the last
+kind from the two traces, with no walk.  Every other row walks: rows
+without such a form (composite moduli, characteristic 2, x or y = +-1),
+rows that ``screened_to_walk`` keeps (rho_v or rho_f of order 2, or both
+orders in {3, 4, 5}), and rows whose dart model is asked for.
+
+The walk is a breadth-first closure from the identity under right
+multiplication by the generators, which numbers the elements in discovery
+order.  It first numbers the orbit of the identity rows, multiplying each
+frontier of rows by each generator in one call (about 3q^2 rows over a
+field of q elements), then walks the elements as triples of row numbers,
+reading each edge from the row images with no product.  A group is
+summarized by an isomorphism-invariant fingerprint: order, multiset of
+element orders, abelian flag, and center size.  For the small groups named
+in the recognition table the fingerprint identifies the group; this is a
+lookup guarantee for table entries only, not a general isomorphism test.
 """
 
 from __future__ import annotations
@@ -55,25 +62,19 @@ class GeneratedGroup:
     generator: ``cayley[g][i]`` is the index of element i times
     ``generators[g]``.  The map pipeline passes the rotations (rho_v,
     rho_e, rho_f) in this order, so ``cayley[0..2]`` are their columns.
-    No other matrix is kept.  ``traces`` is None, or, when ``generate``
-    certified the group inside SO(3, B), the number of elements of each
-    trace (ring code -> count), which ``order_spectrum`` reads instead of
-    the table.  Instances are immutable after construction.
+    No other matrix is kept.  Instances are immutable after construction.
     """
 
-    def __init__(self, generators: list[Mat3], cayley: list[list[int]],
-                 traces: dict[int, int] | None = None):
+    def __init__(self, generators: list[Mat3], cayley: list[list[int]]):
         self.generators = generators
         self.cayley = cayley
-        self.traces = traces
 
     @property
     def order(self) -> int:
         return len(self.cayley[0])
 
 
-def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
-             form: Mat3 | None = None) -> GeneratedGroup:
+def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedGroup:
     """Breadth-first closure of the generators under right multiplication.
 
     Deterministic: the element numbering depends only on the generator
@@ -103,13 +104,6 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
     than ``cap``).  Either way ``partial_count`` is ``cap``.  The orbit pass
     cuts a frontier into chunks small enough that it numbers at most
     3 * cap + 3 * len(gens) rows before it stops.
-
-    ``form`` is a symmetric matrix B with det B != 0 over a field of odd
-    order q, or None.  When it is given and |G| > 2(q + 1), every generator
-    must satisfy g^T B g = B and det g = 1, or InvariantViolation is raised;
-    the group then lies in SO(3, B), and the walk's element keys are
-    counted by trace into ``traces`` for ``order_spectrum``.  Smaller
-    groups, and every group without a form, get no trace count.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -142,8 +136,6 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
                     s = row_index[row] = len(rows)
                     rows.append(row)
                 image.append(s)
-    # entries 0, 1 and 2 of every row: an element's trace sums one of each
-    diagonals = None if form is None else tuple(zip(*rows))
     del rows, row_index
 
     # pass 2: walk the elements in discovery order, one generator's row images at a time
@@ -162,53 +154,8 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT,
                 index[b] = j
                 order.append(b)
             table.append(j)
-    del order, images
-    traces = None
-    if diagonals is not None and len(index) > 2 * (ring.cardinality + 1):
-        traces = _trace_counts(gens, form, diagonals, index)
-    del index  # before the columns copy the table: the walk's peak is here
-    return GeneratedGroup(list(gens), [table[g::k] for g in range(k)], traces)
-
-
-def _trace_counts(gens: Sequence[Mat3], form: Mat3, diagonals: tuple[tuple[int, ...], ...],
-                  index: dict[tuple, int]) -> dict[int, int]:
-    """Certify each generator in SO(3, form), then count the elements by trace.
-
-    Raises InvariantViolation unless g^T B g = B and det g = 1 for every
-    generator g.  ``diagonals[i][r]`` is entry i of row r, so element
-    (r0, r1, r2) has the trace d0[r0] + d1[r1] + d2[r2].  Over GF(p^k),
-    k >= 2, each entry's base-p digits are first packed into bit fields wide
-    enough for a sum of three digits, so one int addition adds three entries
-    without a carry between digits.  Each distinct sum is reduced once.
-    """
-    ring = form.ring
-    b, rows_mul, one = form.vals, ring._rows_mul, ring._from_int(1)
-    form_rows = [b[0:3], b[3:6], b[6:9]]
-    for g in gens:
-        v = g.vals
-        # the rows of g^T are the columns of g
-        if rows_mul(rows_mul((v[0::3], v[1::3], v[2::3]), b), v) != form_rows \
-                or g.det().val != one:
-            raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
-    p, k = ring.modulus, getattr(ring, "degree", 1)  # Z/pZ has no degree attribute
-    width = (3 * p).bit_length()
-    if k > 1:
-        # every code's packing, one low digit at a time; q < |G| / 2 here, so
-        # the table costs less than the walk
-        packed = [0]
-        for _ in range(k):
-            packed = [x << width | c for x in packed for c in range(p)]
-        diagonals = [[packed[u] for u in d] for d in diagonals]
-    d0, d1, d2 = diagonals
-    sums = Counter(d0[r0] + d1[r1] + d2[r2] for r0, r1, r2 in index)
-    mask = (1 << width) - 1
-    traces: Counter[int] = Counter()
-    for x, count in sums.items():
-        code = 0
-        for i in reversed(range(k)):
-            code = code * p + (x >> width * i & mask) % p
-        traces[code] += count
-    return dict(traces)
+    del order, images, index  # before the columns copy the table: the walk's peak is here
+    return GeneratedGroup(list(gens), [table[g::k] for g in range(k)])
 
 
 def schreier_tree(cols: Sequence[Sequence[int]], n: int) -> tuple[array, bytearray]:
@@ -288,20 +235,6 @@ def _conjugacy_classes(cols: list[list[int]], parent: array,
 def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     """Element-order multiset plus abelian flag and center size.
 
-    Two paths give the same fingerprint.
-
-    The trace path serves groups that ``generate`` certified in SO(3, B) for
-    a form B with det B != 0 over a field of odd order q, with
-    |G| > 2(q + 1): it reads each element's order from its trace (see
-    ``_trace_orders``).  A subgroup of SO(3, q) = PGL(2, q) with a nontrivial
-    center is abelian or dihedral, of order at most 2(q + 1) (Dickson,
-    *Linear Groups*, ch. XII; Huppert, *Endliche Gruppen I*, II.8.27), so
-    the center is 1 and the group is not abelian.  |G| must divide
-    q(q^2 - 1), the order of PGL(2, q).  It reads only |G| and the trace
-    counts, not the element numbering, so it sweeps nothing.
-
-    The class path serves every other group (composite moduli,
-    characteristic 2, degenerate forms, small groups) and is the reference.
     Everything is read from the Cayley table, and no matrix is multiplied
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
     section 3.1 and chapter 4).  The closure's breadth-first tree, whose
@@ -316,18 +249,10 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     identity) comes back after n steps.  The power a^k has order
     n / gcd(k, n), so the walk also settles the classes of a's powers.
 
-    A certified group whose order does not divide q(q^2 - 1), a table that
-    the tree sweep rejects, or a walk longer than |G| raises
+    A table that the tree sweep rejects, or a walk longer than |G|, raises
     InvariantViolation.
     """
     n_elems = G.order
-    if G.traces is not None:
-        ring = G.generators[0].ring
-        q = ring.cardinality
-        if q * (q * q - 1) % n_elems:
-            raise InvariantViolation(
-                f"|G| = {n_elems} does not divide |PGL(2, {q})| = {q * (q * q - 1)}")
-        return GroupFingerprint(n_elems, _trace_orders(ring, G.traces), False, 1)
     cols = G.cayley
     parent, gen = schreier_tree(cols, n_elems)
     class_of, reps, sizes = _conjugacy_classes(cols, parent, gen)
@@ -380,42 +305,97 @@ def _lucas_v(ring, s: int, n: int) -> int:
     return a
 
 
-def _trace_orders(ring, traces: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """The order spectrum of a group in SO(3, B), from its count of elements per trace.
+def _power(ring, u: int, n: int) -> int:
+    """u^n on ring codes, by square and multiply."""
+    mul, out = ring._mul, ring._from_int(1)
+    for bit in bin(n)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, u)
+    return out
 
-    Over a field of odd order q = p^k, an element g with trace t has
-    eigenvalues 1, lam, 1/lam with lam + 1/lam = s = t - 1.  An orthogonal
-    group in odd characteristic has no lone Jordan block of even size at
-    +-1 (G. E. Wall, J. Austral. Math. Soc. 3, 1963), so:
 
-    - t = 3: every eigenvalue is 1, and g is the identity or one 3x3
-      Jordan block, of order p.
-    - s = -2: the eigenvalues are 1, -1, -1, and g has order 2.
-    - otherwise g is semisimple of order ord(lam).  lam lies in F_q, of
-      order dividing q - 1, exactly when s^2 - 4 is a square, that is when
-      V_(q-1)(s) = 2; otherwise lam has norm 1 in F_(q^2) and its order
-      divides q + 1.  lam^n = 1 exactly when V_n(s) = 2, and the least such
-      n is found by dividing out prime factors.
+def _trace_order(ring, t: int, q: int) -> int:
+    """The order of g != I in SO(3, B), odd characteristic p, with trace t in the subfield F_q.
+
+    g has eigenvalues 1, lam, 1/lam with lam + 1/lam = s = t - 1, and no lone
+    Jordan block of even size at +-1 (G. E. Wall, J. Austral. Math. Soc. 3,
+    1963).  So t = 3 is one 3x3 Jordan block, of order p; s = -2 has order
+    2; otherwise g has order ord(lam), which divides q - 1 when
+    V_(q-1)(s) = 2 (lam in F_q) and q + 1 otherwise.  lam^n = 1 exactly when
+    V_n(s) = 2, and the least such n is found by dividing out prime factors.
     """
-    p, q = ring.modulus, ring.cardinality
-    one, two, three, minus_two = map(ring._from_int, (1, 2, 3, -2))
-    counts: Counter[int] = Counter()
-    for t, count in traces.items():
-        if t == three:
-            counts[1] += 1
-            if count > 1:
-                counts[p] += count - 1
-            continue
-        s = ring._sub(t, one)
-        if s == minus_two:
-            counts[2] += count
-            continue
-        n = q - 1 if _lucas_v(ring, s, q - 1) == two else q + 1
-        for f in _prime_factors(n):
-            while n % f == 0 and _lucas_v(ring, s, n // f) == two:
-                n //= f
-        counts[n] += count
-    return tuple(sorted(counts.items()))
+    if t == ring._from_int(3):
+        return ring.modulus
+    s, two = ring._sub(t, ring._from_int(1)), ring._from_int(2)
+    if s == ring._from_int(-2):
+        return 2
+    n = q - 1 if _lucas_v(ring, s, q - 1) == two else q + 1
+    for f in _prime_factors(n):
+        while n % f == 0 and _lucas_v(ring, s, n // f) == two:
+            n //= f
+    return n
+
+
+def screened_to_walk(ring, t_v: int, t_f: int) -> bool:
+    """Whether a row whose rho_v and rho_f have traces t_v and t_f must walk.
+
+    In SO(3, B), odd characteristic, g != I has order 2, 3, 4 or 5 exactly
+    when its trace is -1, 0, 1 or a root of t^2 - t - 1.  A row walks when
+    either order is 2 (dihedral) or both lie in {3, 4, 5} outside (4, 4),
+    (4, 5) and (5, 4) (maybe A4, S4 or A5).  Over other rings it is not read.
+    """
+    minus_one, zero, one = map(ring._from_int, (-1, 0, 1))
+    if minus_one in (t_v, t_f):
+        return True
+    p, q = (3 if t == zero else 4 if t == one else
+            5 if ring._sub(ring._mul(t, t), ring._add(t, one)) == zero else 0
+            for t in (t_v, t_f))
+    return bool(p and q) and (p, q) not in ((4, 4), (4, 5), (5, 4))
+
+
+def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int, int],
+                            cap: int = CLOSURE_CAP_DEFAULT
+                            ) -> tuple[GroupFingerprint, int, int, tuple[int, int]]:
+    """Fingerprint, p, q and dedupe key of <rho_v, rho_e, rho_f>, from two traces.
+
+    ``form`` is the rotations' B (det B != 0, odd characteristic p) and
+    ``traces`` (t_v, t_f) a row that ``screened_to_walk`` lets through, so
+    the group is PSL(2, q') or PGL(2, q') (Macbeath 1969) with q' = p^d for
+    the least d with t^(p^d) = t for both traces.  It is PSL exactly when
+    t_v + 1 and t_f + 1 are both squares in F_q', and |G| = q'(q'^2 - 1)/e,
+    e = 2 for PSL and 1 for PGL.  Its elements: the identity, q'^2 - 1 of
+    order p, and phi(n) q'(q' +- 1)/2 of order n for each n > 1 dividing
+    (q' -+ 1)/e; the center is 1.  The key is the least Frobenius image of
+    (t_v, t_f), equal for two rows of one ring exactly when their maps are.
+
+    Raises InvariantViolation unless g^T B g = B and det g = 1 for each
+    generator, and CapExceeded(cap, cap), as the walk would, when |G| > cap.
+    """
+    ring = form.ring
+    b, rows_mul, one = form.vals, ring._rows_mul, ring._from_int(1)
+    form_rows = [b[0:3], b[3:6], b[6:9]]
+    for g in gens:
+        v = g.vals
+        # the rows of g^T are the columns of g
+        if rows_mul(rows_mul((v[0::3], v[1::3], v[2::3]), b), v) != form_rows \
+                or g.det().val != one:
+            raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
+    char = ring.modulus
+    orbit = [traces]
+    while (image := tuple(_power(ring, t, char) for t in orbit[-1])) != traces:
+        orbit.append(image)
+    qp = char ** len(orbit)  # q'
+    e = 2 if all(_power(ring, ring._add(t, one), (qp - 1) // 2) == one for t in traces) else 1
+    order = qp * (qp * qp - 1) // e
+    if order > cap:
+        raise CapExceeded(partial_count=cap, cap=cap)
+    counts = Counter({1: 1, char: qp * qp - 1})
+    for n, size in ((qp - 1, qp * (qp + 1) // 2), (qp + 1, qp * (qp - 1) // 2)):
+        for d in _divisors(n // e)[1:]:
+            counts[d] += _totient(d) * size
+    fp = GroupFingerprint(order, tuple(sorted(counts.items())), False, 1)
+    return fp, _trace_order(ring, traces[0], qp), _trace_order(ring, traces[1], qp), min(orbit)
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,16 @@ def _column_order(col: list[int]) -> int:
     return n
 
 
-def analyze(G: GeneratedGroup) -> RegularMapReport:
-    """Build the map report for a group generated by (rho_v, rho_e, rho_f)."""
+def analyze(G: GeneratedGroup, fp: GroupFingerprint | None = None) -> RegularMapReport:
+    """The map report of a walked group, with ``fp`` as its fingerprint if already known."""
     p, e_order, q = map(_column_order, _rotation_columns(G))
-    fp = order_spectrum(G)
-    name = recognize(fp)
-    order = G.order
+    return _map_report(G.order, p, e_order, q, order_spectrum(G) if fp is None else fp)
 
+
+def _map_report(order: int, p: int, e_order: int, q: int,
+                fp: GroupFingerprint) -> RegularMapReport:
+    """The report of |G| = order with rotation orders p, e_order, q: walked or closed form."""
+    name = recognize(fp)
     reason = V = E = F = genus = euler = None
     if e_order != 2:
         reason = f"rho_e has order {e_order}, expected 2"

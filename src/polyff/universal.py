@@ -98,6 +98,12 @@ def make_rhos(params: PolyhedronParams) -> tuple[Mat3, Mat3, Mat3]:
     return rv, re, rf
 
 
+def rotation_traces(gens: GeneratorSet) -> tuple[int, int]:
+    """The traces (t_v, t_f) of rho_v and rho_f, as ring codes."""
+    add = gens.ring._add
+    return tuple(add(add(g.vals[0], g.vals[4]), g.vals[8]) for g in (gens.rho_v, gens.rho_f))
+
+
 def invariant_form(params: PolyhedronParams) -> Mat3 | None:
     """The symmetric form B with g^T B g = B for each rotation g, or None.
 
@@ -155,6 +161,11 @@ def verify_relations(params: PolyhedronParams) -> RelationReport:
         ("rho_e = sigma0*sigma2", re == s0 * s2),
         ("rho_f = sigma0*sigma1", rf == s0 * s1),
     )
+    form = invariant_form(params)
+    if form is not None:  # det B = 0 has no form to check; g^T's rows are g's columns
+        checks += tuple((f"{name}^T B {name} = B",
+                         Mat3._raw(ring, g.vals[0::3] + g.vals[1::3] + g.vals[2::3]) * form * g
+                         == form) for name, g in (("rho_v", rv), ("rho_e", re), ("rho_f", rf)))
     return RelationReport(str(params.x), str(params.y), checks)
 
 

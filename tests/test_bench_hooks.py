@@ -56,7 +56,8 @@ def test_tracer_wraps_and_restores(monkeypatch):
     assert wrapped() == originals
 
 
-@pytest.mark.parametrize("ring, x, y", [("zmod:7", "2", "3"), ("gf:2^2", "t", "t+1")])
+# zmod:7 at (0, 0) has an invariant form and walks: its group is S4
+@pytest.mark.parametrize("ring, x, y", [("zmod:7", "0", "0"), ("gf:2^2", "t", "t+1")])
 def test_no_matrix_product_after_the_closure(monkeypatch, ring, x, y):
     # every product goes through the ring's one kernel: count the rows it
     # multiplies inside the CLI's closure call, and in the whole command
@@ -84,10 +85,31 @@ def test_no_matrix_product_after_the_closure(monkeypatch, ring, x, y):
     assert code == 0
     [(group, in_closure)] = closures
     assert group.order > 1
-    # the row orbit multiplies each of its rows once by each of the three
-    # generators; a group certified in SO(3, B) adds g^T B g, two products
-    # of three rows per generator
+    # the row orbit multiplies each of its rows once by each of the three generators
     n_rows = len({m.vals[i:i + 3] for m in closure_elements(group) for i in (0, 3, 6)})
-    certificate = 0 if group.traces is None else 3 * 2 * 3
-    assert in_closure == 3 * n_rows + certificate
+    assert in_closure == 3 * n_rows
     assert in_command == in_closure  # the spectrum and the report multiply none
+
+
+def test_closed_form_analyze_multiplies_only_the_certificate(monkeypatch):
+    # zmod:7 at (2, 3) is PGL(2, 7), answered from the traces: no closure, and
+    # the kernel multiplies only g^T B g, two products of three rows per rotation
+    kernel_cls = type(ring_make("zmod:7"))
+    rows_mul = kernel_cls._rows_mul
+    multiplied = 0
+
+    def counted(self, rows, b):
+        nonlocal multiplied
+        multiplied += len(rows)
+        return rows_mul(self, rows, b)
+
+    def closure(*args, **kwargs):
+        raise AssertionError("a closed-form row called generate")
+
+    monkeypatch.setattr(kernel_cls, "_rows_mul", counted)
+    monkeypatch.setattr(cli, "generate", closure)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["analyze", "--ring", "zmod:7", "--x", "2", "--y", "3"])
+    assert code == 0 and '"group_order": 336' in out.getvalue()
+    assert multiplied == 3 * 2 * 3

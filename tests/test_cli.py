@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 import io
 import json
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -100,6 +101,21 @@ def test_analyze_cap_exceeded_exit_code(capsys):
                        "--cap", "10")
     assert code == 4
     assert "cap" in err
+
+
+def test_closed_form_cap_exits_at_once(capsys):
+    # |PSL(2, 131)| = 1,123,980 is read from the traces: no walk to the cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "--ring", "gf:131", "--x", "2", "--y", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == ("polyff: closure exceeded cap 1000000 "
+                   "(the group has more than 1000000 elements)\n")
+    code, out, _ = run(capsys, "analyze", "--ring", "gf:131", "--x", "2", "--y", "3",
+                       "--cap", "2000000")
+    report = json.loads(out)
+    # p and q as a walk of the 1,123,980 elements reads them off its columns
+    assert (code, report["group_order"], report["p"], report["q"]) == (0, 1123980, 13, 65)
 
 
 def test_darts_flag(capsys):
@@ -211,7 +227,7 @@ def test_scan_rows_run_on_the_calling_thread(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, sweeps", [
-    (["--ring", "zmod:29", "--x", "2", "--y", "3"], 0),  # trace path: reads no numbering
+    (["--ring", "zmod:29", "--x", "2", "--y", "3"], 0),  # closed form: no walk, no numbering
     (["--ring", "zmod:29", "--x", "2", "--y", "3", "--darts"], 1),  # dart_model
     (["--ring", "gf:2^3", "--x", "t", "--y", "t+1"], 1),  # class path
 ])
@@ -248,8 +264,11 @@ def test_scan_exact_dedupe(capsys):
     assert all("class" in c for c in payload["classes"])
 
 
-# zmod:8 has one class per fingerprint; gf:3^2 splits 14 fingerprints into 41 classes
-@pytest.mark.parametrize("spec, n_classes", [("zmod:8", 9), ("gf:3^2", 41)])
+# zmod:8 has one class per fingerprint; gf:3^2 splits 14 fingerprints into 41 classes.
+# Over gf:3^2, zmod:7 and gf:7 the closed-form rows are keyed by their traces,
+# and the rest by their darts
+@pytest.mark.parametrize("spec, n_classes", [("zmod:8", 9), ("gf:3^2", 41), ("zmod:7", 44),
+                                             ("gf:7", 44)])
 def test_exact_dedupe_classes_are_the_equivalence_partition(capsys, spec, n_classes):
     # reference: a pairwise maps_equivalent search among each fingerprint's
     # rows, numbering its classes in row order

@@ -20,10 +20,10 @@ The report's assembly is pinned per command: the grid prediction with a
 verdict (triangular n = 7, text) and without one (square n = 2, whose
 report is degenerate, so ``match`` is null), the bad-prime keys of
 ``catalog``, the one-row csv of ``specialize``, and scan rows stopped by
-``--cap`` (zmod:9, exit 4).  The gf:3^2 exact scan pins the dart keys over
-an odd extension field, where ``dart_model`` is the only check of a
-certified row's numbering, and the gf:7^2 analysis pins the 117,600-element
-group PGL(2, 49) on the trace path.
+``--cap`` (zmod:9, exit 4).  The gf:3^2 exact scan pins the ``#k`` numbering
+over an odd extension field, whose closed-form rows are keyed by their
+traces and the rest by their darts, and the gf:7^2 analysis pins the
+117,600-element group PGL(2, 49), answered in closed form without a walk.
 
 To recapture after a deliberate output change, run from the repo root::
 

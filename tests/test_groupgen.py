@@ -7,20 +7,25 @@ import tracemalloc
 
 import pytest
 
+from polyff.cli import _row, run_pipeline
 from polyff.errors import CapExceeded, InvariantViolation, NonInvertibleGenerator
 from polyff.groupgen import (
+    CLOSURE_CAP_DEFAULT,
     RECOGNITION_TABLE,
     GeneratedGroup,
     GroupFingerprint,
     cyclic_spectrum,
     dihedral_spectrum,
     generate,
+    linear_fractional_group,
     order_spectrum,
     recognize,
+    screened_to_walk,
 )
 from polyff.mat3 import Mat3
 from polyff.rings import GaloisField, ZMod, ring_make
-from polyff.universal import PolyhedronParams, invariant_form, make_rhos, make_sigmas
+from polyff.universal import (GeneratorSet, PolyhedronParams, invariant_form, make_rhos,
+                              make_sigmas, rotation_traces)
 
 from oracles import (
     TupleField,
@@ -237,62 +242,82 @@ def test_spectrum_matches_per_element_reference(spec):
                 == reference_fingerprint(group), (spec, x, y)
 
 
-@pytest.mark.parametrize("spec", ["zmod:7", "gf:5", "gf:7", "gf:3^2", "gf:11", "gf:13"])
+# every row with an invariant form over two extension fields, four GF(p)
+# fields and one zmod prime; gf:5^2's walks take most of the test's time
+@pytest.mark.parametrize("spec", ["zmod:7", "gf:5", "gf:7", "gf:3^2", "gf:11", "gf:13", "gf:5^2"])
 def test_trace_spectrum_matches_class_spectrum(spec):
-    # every row with an invariant form; the class path reads the same table without traces
+    # the closed form (PSL(2, q') or PGL(2, q') from the traces) against the
+    # walk and its class-path spectrum: order, p, q, V/E/F, genus, fingerprint
     ring = ring_make(spec)
-    traced = 0
+    closed = 0
     for x, y in itertools.product(ring.elements(), repeat=2):
         params = PolyhedronParams(x, y)
-        form = invariant_form(params)
-        if form is None:
+        if invariant_form(params) is None:
             continue
-        group = generate(list(make_rhos(params)), form=form)
-        assert (group.traces is not None) == (group.order > 2 * (ring.cardinality + 1))
-        if group.traces is None:
+        report, _, key = _row(params, CLOSURE_CAP_DEFAULT)
+        walked = run_pipeline(params)[1]
+        if key is None:
+            # screened to the walk: dihedral, a quotient of a spherical triangle
+            # group (at most A5), or (5, 5), whose traces do not tell A5 from
+            # PSL(2, q') (PSL(2, 9) and PSL(2, 11) rows over gf:3^2 and gf:11)
+            assert min(walked.p, walked.q) <= 2 or walked.group_order <= 60 \
+                or (walked.p, walked.q) == (5, 5), (spec, x, y)
             continue
-        traced += 1
-        assert sum(group.traces.values()) == group.order
-        assert order_spectrum(group) \
-            == order_spectrum(GeneratedGroup(group.generators, group.cayley)), (spec, x, y)
-    assert traced >= ring.cardinality
+        closed += 1
+        assert report == walked, (spec, x, y)
+    assert closed >= ring.cardinality
+
+
+def test_certified_order_must_divide_pgl2_order():
+    # fields too large to walk every row: each closed-form group lies in
+    # SO(3, B) = PGL(2, q), its spectrum counts |G| elements, and its orders
+    # divide |G|, including p and q
+    for spec in ("gf:3^3", "gf:3^4", "gf:5^3", "gf:7^2"):
+        ring = ring_make(spec)
+        q = ring.cardinality
+        for x, y in itertools.islice(itertools.product(ring.elements(), repeat=2), 0, None, 31):
+            params = PolyhedronParams(x, y)
+            gens = GeneratorSet.from_params(params)
+            traces = rotation_traces(gens)
+            form = invariant_form(params)
+            if form is None or screened_to_walk(ring, *traces):
+                continue
+            fp, p, q_f, _ = linear_fractional_group([gens.rho_v, gens.rho_e, gens.rho_f],
+                                                    form, traces, q ** 3)
+            assert q * (q * q - 1) % fp.order == 0, (spec, x, y)
+            assert sum(c for _, c in fp.spectrum) == fp.order
+            assert all(fp.order % d == 0 for d, _ in fp.spectrum)
+            assert {p, q_f} <= {d for d, _ in fp.spectrum}
 
 
 def test_group_at_the_dickson_bound_keeps_the_class_path():
     # a Sylow 2-subgroup of SO(3, B) = PGL(2, 3) = S4 is dihedral of order
-    # 2(q + 1) = 8, with a center of order 2: the trace path would say 1
+    # 2(q + 1) = 8, with a center of order 2
     ring = ring_make("gf:3")
     params = PolyhedronParams(ring.zero, ring.zero)
-    form = invariant_form(params)
     elements = closure_elements(generate(list(make_rhos(params))))
     assert len(elements) == 24
     for a, b in itertools.combinations(elements, 2):
-        group = generate([a, b], form=form)
+        group = generate([a, b])
         if group.order == 8:
             break
-    assert group.traces is None
     fp = order_spectrum(group)
     assert (fp.spectrum, fp.center_size) == (dihedral_spectrum(4), 2)
 
 
 def test_form_not_preserved_raises():
+    # the closed form certifies each rotation in SO(3, B) before it reads the traces
     ring = ring_make("zmod:7")
     params = PolyhedronParams(ring.elem(2), ring.elem(3))
-    rhos = list(make_rhos(params))
+    gens = GeneratorSet.from_params(params)
+    rhos, traces = [gens.rho_v, gens.rho_e, gens.rho_f], rotation_traces(gens)
     with pytest.raises(InvariantViolation, match="not in SO"):
-        generate(rhos, form=Mat3.identity(ring))
+        linear_fractional_group(rhos, Mat3.identity(ring), traces)
     # the reflections preserve the form, but their determinant is -1
     with pytest.raises(InvariantViolation, match="not in SO"):
-        generate(list(make_sigmas(params)), form=invariant_form(params))
-    assert generate(rhos, form=invariant_form(params)).traces is not None
-
-
-def test_certified_order_must_divide_pgl2_order():
-    # a 7-cycle table claimed to lie in SO(3, B) over GF(5); |PGL(2, 5)| = 120
-    group = _rotation_group("gf:5", 0, 0)
-    cycle = GeneratedGroup(group.generators[:1], [[1, 2, 3, 4, 5, 6, 0]], traces={3: 7})
-    with pytest.raises(InvariantViolation, match="does not divide"):
-        order_spectrum(cycle)
+        linear_fractional_group(list(make_sigmas(params)), invariant_form(params), traces)
+    fp, p, q, _ = linear_fractional_group(rhos, invariant_form(params), traces)
+    assert (fp.order, p, q) == (336, 3, 8)  # PGL(2, 7)
 
 
 def test_invariant_form_only_for_odd_fields_and_nonzero_determinant():

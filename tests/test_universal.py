@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from polyff import universal
 from polyff.errors import MixedRings
 from polyff.mat3 import Mat3
 from polyff.rings import ZMod, ring_make
@@ -102,6 +103,18 @@ def test_relations_random_over_gf49():
 def test_relations_exhaustive_over_z2():
     for params in _sample_params("zmod:2", 10**9):
         assert verify_relations(params).all_passed
+
+
+def test_relations_check_the_invariant_form_where_it_exists(monkeypatch):
+    ring = ring_make("gf:7")
+    names = [f"{g}^T B {g} = B" for g in ("rho_v", "rho_e", "rho_f")]
+    # x or y = +-1 makes det B = 0: no form, so no check
+    for x, y, checked in ((2, 3, names), (0, 0, names), (1, 3, []), (2, 6, [])):
+        report = verify_relations(_params(ring, x, y))
+        assert report.all_passed and [n for n, _ in report.checks[9:]] == checked, (x, y)
+    # a form the rotations do not preserve fails all three checks
+    monkeypatch.setattr(universal, "invariant_form", lambda params: Mat3.identity(params.ring))
+    assert verify_relations(_params(ring, 2, 3)).failures() == names
 
 
 @pytest.mark.parametrize("spec", TEST_RINGS)
