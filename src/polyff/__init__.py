@@ -30,7 +30,6 @@ from .regmap import (
     RegularMapReport,
     analyze,
     dart_model,
-    genus_exact,
     genus_formula,
     maps_equivalent,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "classify_pq",
     "dart_model",
     "generate",
-    "genus_exact",
     "genus_formula",
     "make_rhos",
     "make_sigmas",

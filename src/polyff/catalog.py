@@ -144,12 +144,6 @@ class BadPrimeReport:
     def discrepancy(self) -> bool:
         return self.published is not None and self.published != self.computed
 
-    def reasons(self) -> dict[int, str]:
-        """Per-prime annotation: why each listed prime is special."""
-        out = {p: "NonInvertibleDenominator" for p in self.computed}
-        out.update({p: "NeedsExtension" for p in self.needs_extension})
-        return dict(sorted(out.items()))
-
 
 def bad_primes(entry: NamedPolyhedron | str) -> BadPrimeReport:
     """Primes dividing the parameter denominators, with extension annotations.

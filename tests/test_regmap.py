@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from polyff.errors import InvariantViolation, NonIntegralGenus
+from polyff.errors import InvariantViolation
 from polyff.groupgen import GeneratedGroup, generate
 from polyff.regmap import (
     DartModel,
     _half,
     analyze,
     dart_model,
-    genus_exact,
     genus_formula,
     maps_equivalent,
 )
@@ -43,14 +42,11 @@ def _run(spec, x, y, **kw):
 ])
 def test_genus_formula(p, q, E, g):
     assert genus_formula(p, q, E) == g
-    assert genus_exact(p, q, E) == g
 
 
 def test_genus_formula_fractional():
     # 13 edges: bracket is -1/6, so 2g - 2 = -13/6 and g = -1/12
     assert genus_formula(3, 4, 13) == Fraction(-1, 12)
-    with pytest.raises(NonIntegralGenus):
-        genus_exact(3, 4, 13)
 
 
 def test_genus_formula_rejects_bad_arguments():

@@ -103,14 +103,16 @@ def test_ring_make_rejects(spec, exc):
 
 
 def test_is_prime_matches_trial_division():
-    # trial division below 10**10, Miller-Rabin from there on
+    # trial division by the primes 2 .. 41 below 43**2, Miller-Rabin from there on
     for n in itertools.chain(range(20_000), range(10**10 - 100, 10**10 + 200)):
         assert rings.is_prime(n) == trial_division_prime(n), n
 
 
 def test_is_prime_rejects_pseudoprimes():
-    # Carmichael numbers, and a strong pseudoprime to the prime bases 2 .. 23
-    for n in (561, 41041, 3_825_123_056_546_413_051, 99_991 * 100_003, 100_003**2):
+    # Carmichael numbers, a strong pseudoprime to the prime bases 2 .. 23, and
+    # one to the bases 2 .. 37, which only base 41 rejects
+    for n in (561, 41041, 3_825_123_056_546_413_051, 99_991 * 100_003, 100_003**2,
+              318_665_857_834_031_151_167_461):
         assert not rings.is_prime(n), n
 
 
@@ -312,6 +314,22 @@ def test_table_field_tables_match_coefficient_arithmetic(spec):
     assert ring._add_rows == [[_ExtensionField._add(ring, u, v) for v in q] for u in q]
     assert ring._mul_rows == [[_ExtensionField._mul(ring, u, v) for v in q] for u in q]
     assert ring._negs == [_ExtensionField._neg(ring, u) for u in q]
+
+
+@pytest.mark.parametrize("spec, cls", [
+    ("zmod:12", ZMod), ("gf:7", GaloisField), ("gf:2^3", _TableField),
+    ("gf:101^2", _QuadraticField), ("gf:5^3", _ExtensionField),
+])
+def test_pow_matches_repeated_mul(spec, cls):
+    # the one square-and-multiply on codes, against n-fold products, n = 0 .. 2q
+    ring = ring_make(spec)
+    assert type(ring) is cls
+    q = ring.cardinality
+    for u in (0, 1, q - 1, random.Random(spec).randrange(q)):
+        power = ring._from_int(1)
+        for n in range(2 * q + 1):
+            assert ring._pow(u, n) == power, (u, n)
+            power = ring._mul(power, u)
 
 
 @pytest.mark.parametrize("spec, cls", [
