@@ -35,7 +35,7 @@ from typing import Sequence
 from .catalog import TilingClass, classify_pq
 from .errors import CapExceeded, InvariantViolation, MixedRings, NonInvertibleGenerator
 from .mat3 import Mat3
-from .rings import _prime_factors
+from .rings import _cyclic_counts, _factor
 
 CLOSURE_CAP_DEFAULT = 10**6
 
@@ -306,23 +306,21 @@ def _lucas_v(ring, s: int, n: int) -> int:
     return a
 
 
-def _trace_order(ring, t: int, q: int) -> int:
+def _trace_order(ring, t: int, q: int, factors: dict[int, dict[int, int]]) -> int:
     """The order of g != I in SO(3, B), odd characteristic p, with trace t in the subfield F_q.
 
     g has eigenvalues 1, lam, 1/lam with lam + 1/lam = s = t - 1, and no lone
     Jordan block of even size at +-1 (G. E. Wall, J. Austral. Math. Soc. 3,
-    1963).  So t = 3 is one 3x3 Jordan block, of order p; s = -2 has order
-    2; otherwise g has order ord(lam), which divides q - 1 when
-    V_(q-1)(s) = 2 (lam in F_q) and q + 1 otherwise.  lam^n = 1 exactly when
-    V_n(s) = 2, and the least such n is found by dividing out prime factors.
+    1963).  So t = 3 is one 3x3 Jordan block, of order p; otherwise g has
+    order ord(lam), which divides n = q - 1 when V_(q-1)(s) = 2 (lam in F_q)
+    and n = q + 1 otherwise.  lam^n = 1 exactly when V_n(s) = 2, and the
+    least such n is found by dividing out the primes of ``factors[n]``.
     """
     if t == ring._from_int(3):
         return ring.modulus
     s, two = ring._sub(t, ring._from_int(1)), ring._from_int(2)
-    if s == ring._from_int(-2):
-        return 2
     n = q - 1 if _lucas_v(ring, s, q - 1) == two else q + 1
-    for f in _prime_factors(n):
+    for f in factors[n]:
         while n % f == 0 and _lucas_v(ring, s, n // f) == two:
             n //= f
     return n
@@ -360,7 +358,8 @@ def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int,
     t_v + 1 and t_f + 1 are both squares in F_q', and |G| = q'(q'^2 - 1)/e,
     e = 2 for PSL and 1 for PGL.  Its elements: the identity, q'^2 - 1 of
     order p, and phi(n) q'(q' +- 1)/2 of order n for each n > 1 dividing
-    (q' -+ 1)/e; the center is 1.  The key is the least Frobenius image of
+    (q' -+ 1)/e; the center is 1.  p, q and the spectrum are read from one
+    ``_factor`` each of q' -+ 1.  The key is the least Frobenius image of
     (t_v, t_f), equal for two rows of one ring exactly when their maps are.
 
     Raises InvariantViolation unless g^T B g = B and det g = 1 for each
@@ -385,37 +384,21 @@ def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int,
     if order > cap:
         raise CapExceeded(cap)
     counts = Counter({1: 1, char: qp * qp - 1})
+    factors = {n: _factor(n) for n in (qp - 1, qp + 1)}
     for n, size in ((qp - 1, qp * (qp + 1) // 2), (qp + 1, qp * (qp - 1) // 2)):
-        for d in _divisors(n // e)[1:]:
-            counts[d] += _totient(d) * size
+        # q' is odd, so dividing n by e lowers the exponent of 2 by e - 1
+        for d, phi in _cyclic_counts({**factors[n], 2: factors[n][2] + 1 - e})[1:]:
+            counts[d] += phi * size
     fp = GroupFingerprint(order, tuple(sorted(counts.items())), False, 1)
-    return fp, _trace_order(ring, traces[0], qp), _trace_order(ring, traces[1], qp), min(orbit)
+    return fp, *(_trace_order(ring, t, qp, factors) for t in traces), min(orbit)
 
 
 # ---------------------------------------------------------------------------
 # recognition
 
-def _totient(n: int) -> int:
-    out = n
-    for d in _prime_factors(n):
-        out -= out // d
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
-    out += [n // d for d in reversed(out) if d * d != n]
-    return out
-
-
-def cyclic_spectrum(n: int) -> tuple[tuple[int, int], ...]:
-    """Order spectrum of the cyclic group C_n."""
-    return tuple((d, _totient(d)) for d in _divisors(n))
-
-
 def dihedral_spectrum(n: int) -> tuple[tuple[int, int], ...]:
     """Order spectrum of the dihedral group D_n of order 2n (n >= 2)."""
-    counts = Counter({d: _totient(d) for d in _divisors(n)})
+    counts = Counter(dict(_cyclic_counts(_factor(n))))
     counts[2] += n  # the n reflections
     return tuple(sorted(counts.items()))
 
@@ -432,15 +415,14 @@ RECOGNITION_TABLE: dict[str, tuple[int, tuple[tuple[int, int], ...], bool]] = {
 def recognize(fp: GroupFingerprint) -> str:
     """Name the group by exact fingerprint match, or "unrecognized".
 
-    Checks the named table (S3, A4, S4, A5), then cyclic groups (abelian
-    with an element of full order), then dihedral groups by spectrum.
+    Checks the named table (S3, A4, S4, A5), then cyclic groups (an element
+    of order |G| generates G), then dihedral groups by spectrum.
     """
     for name, (order, spectrum, abelian) in RECOGNITION_TABLE.items():
         if fp.order == order and fp.spectrum == spectrum and fp.abelian == abelian:
             return name
-    if fp.abelian and any(d == fp.order for d, _ in fp.spectrum):
-        if fp.spectrum == cyclic_spectrum(fp.order):
-            return f"C{fp.order}"
+    if fp.spectrum[-1][0] == fp.order:
+        return f"C{fp.order}"
     if fp.order % 2 == 0 and fp.order >= 4:
         n = fp.order // 2
         # D_n's largest element order is n: a cheap test before its divisors

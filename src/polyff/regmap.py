@@ -8,9 +8,9 @@ order of rho_v and q the order of rho_f, the counts are
     V = |G| / p,   E = |G| / 2,   F = |G| / q,
 
 and the genus comes from 2g - 2 = |G| - V - E - F, equivalently
-2g - 2 = E (1 - 2/p - 2/q).  When rho_e fails to have order 2 (or the
-counts fail to divide), the map is not defined and the report carries a
-degeneracy reason instead.
+2g - 2 = E (1 - 2/p - 2/q).  When rho_e or rho_f is the identity, the map
+is not defined and the report carries a degeneracy reason instead; other
+counts that miss a closed surface raise InvariantViolation (exit 5).
 
 Dart permutations are right multiplications by the three rotations on the
 deterministic element order; their export format is one header line
@@ -61,11 +61,6 @@ def genus_formula(p: int, q: int, E: int):
     return (rhs + 2) / 2
 
 
-def _half(d: int) -> str:
-    """``str(Fraction(d, 2))``: d/2 in lowest terms."""
-    return str(d // 2) if d % 2 == 0 else f"{d}/2"
-
-
 def _rotation_columns(G: GeneratedGroup) -> list[list[int]]:
     """The Cayley-table columns of rho_v, rho_e and rho_f, in this order."""
     if len(G.cayley) != 3:
@@ -97,30 +92,26 @@ def analyze(G: GeneratedGroup, fp: GroupFingerprint | None = None) -> RegularMap
 
 def _map_report(order: int, p: int, e_order: int, q: int,
                 fp: GroupFingerprint) -> RegularMapReport:
-    """The report of |G| = order with rotation orders p, e_order, q: walked or closed form."""
-    name = recognize(fp)
+    """The report of |G| = order with rotation orders p, e_order, q: walked or closed form.
+
+    rho_e^2 = I, and rho_v = I forces rho_e = I, so only rho_e or rho_f = I
+    makes a map degenerate.  Otherwise three regular permutations composing
+    to the identity tile a closed orientable surface, and counts that do not
+    (a wrong |G|, p or q) raise InvariantViolation.
+    """
     reason = V = E = F = genus = euler = None
     if e_order != 2:
         reason = f"rho_e has order {e_order}, expected 2"
-    elif p < 2:
-        reason = f"rho_v has order {p} < 2"
     elif q < 2:
         reason = f"rho_f has order {q} < 2"
-    elif order % 2:
-        reason = f"group order {order} is odd"
-    elif order % p or order % q:
-        reason = (f"non-integral counts: |G| = {order} not divisible by "
-                  f"p = {p} or q = {q}")
     else:
         V, E, F = order // p, order // 2, order // q
         doubled = order - V - E - F + 2  # equals 2g
-        if doubled < 0 or doubled % 2:
-            reason = f"genus would be {_half(doubled)}"
-        else:
-            genus = doubled // 2
-            euler = V - E + F
+        if order % p or order % 2 or order % q or doubled < 0 or doubled % 2:
+            raise InvariantViolation(f"|G| = {order}, p = {p}, q = {q} give no closed surface")
+        genus, euler = doubled // 2, V - E + F
     return RegularMapReport(order, p, q, e_order, V, E, F, genus, euler,
-                            reason is not None, reason, fp, name)
+                            reason is not None, reason, fp, recognize(fp))
 
 
 # ---------------------------------------------------------------------------

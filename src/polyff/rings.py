@@ -111,19 +111,44 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
-    out = []
+def _factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, primes ascending.
+
+    Trial division by d < 128 while d^2 <= n leaves parts whose primes are
+    all >= d.  A part below d^2 or accepted by ``is_prime`` is prime.  Any
+    other is split by Pollard's rho: Floyd's cycle search on x -> x^2 + c,
+    retried with the next c while the gcd is the part itself.
+    """
+    out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+    while d * d <= n and d < 128:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < d * d or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        c, g = 0, m
+        while g == m:
+            c, x, y, g = c + 1, 2, 2, 1
+            while g == 1:
+                x, y = (x * x + c) % m, ((y * y + c) ** 2 + c) % m
+                g = math.gcd(x - y, m)
+        parts += (g, m // g)
+    return dict(sorted(out.items()))
+
+
+def _cyclic_counts(factors: dict[int, int]) -> list[tuple[int, int]]:
+    """(d, phi(d)) for each divisor d of n, ascending, from n's ``_factor``: C_n's spectrum."""
+    counts = [(1, 1)]
+    for prime, k in factors.items():
+        counts += [(d * prime**i, phi * (prime - 1) * prime**(i - 1))
+                   for d, phi in counts for i in range(1, k + 1)]
+    return sorted(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +801,7 @@ class QuadRational:
 
     def denominator_primes(self) -> set[int]:
         """Primes dividing the reduced denominator."""
-        return set(_prime_factors(self.c))
+        return set(_factor(self.c))
 
     def to_json(self) -> dict[str, int]:
         return {"a": self.a, "b": self.b, "c": self.c}

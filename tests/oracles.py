@@ -296,6 +296,20 @@ def trial_division_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def trial_division_factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, dividing out each d = 2, 3, 4, ... while d^2 <= n."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # reference implementations
 

@@ -118,15 +118,24 @@ def test_closed_form_cap_exits_at_once(capsys):
     assert (code, report["group_order"], report["p"], report["q"]) == (0, 1123980, 13, 65)
 
 
-@pytest.mark.parametrize("q", [100_003, 1_000_003, 1_000_000_007])
+@pytest.mark.parametrize("q", [100_003, 1_000_003, 1_000_000_007, 1_000_000_000_000_000_003,
+                               3_317_044_064_679_887_385_961_813])
 def test_closed_form_row_recognized_at_once(capsys, q):
-    # |G| = |PGL(2, q)| is about q^3: recognition must not list the divisors of |G| / 2
+    # |G| is about q^3, and q runs up to the largest prime below MILLER_RABIN_PROOF_BOUND:
+    # the spectrum, p and q must come from factoring q -+ 1, not from trial division
     start = time.perf_counter()
     code, out, _ = run(capsys, "analyze", "--ring", f"zmod:{q}", "--x", "2", "--y", "3",
-                       "--cap", str(10**30))
+                       "--cap", str(10**80))
     assert time.perf_counter() - start < 1
     assert code == 0
-    assert json.loads(out)["group_order"] == q * (q * q - 1)
+    report = json.loads(out)
+    order = report["group_order"]
+    # PSL(2, q) exactly when t_v + 1 = -6 and t_f + 1 = -2 are squares mod q (Euler's criterion)
+    e = 2 if all(pow(q - a, (q - 1) // 2, q) == 1 for a in (6, 2)) else 1
+    assert order == q * (q * q - 1) // e
+    spectrum = report["fingerprint"].split(";")[1].removeprefix("spectrum=").split(",")
+    assert sum(int(entry.split(":")[1]) for entry in spectrum) == order
+    assert order % report["p"] == 0 and order % report["q"] == 0
 
 
 def test_darts_flag(capsys):

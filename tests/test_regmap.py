@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from polyff.errors import InvariantViolation
-from polyff.groupgen import GeneratedGroup, generate
+from polyff.groupgen import GeneratedGroup, GroupFingerprint, dihedral_spectrum, generate
 from polyff.regmap import (
     DartModel,
-    _half,
+    _map_report,
     analyze,
     dart_model,
     genus_formula,
@@ -52,12 +52,6 @@ def test_genus_formula_fractional():
 def test_genus_formula_rejects_bad_arguments():
     with pytest.raises(ValueError):
         genus_formula(1, 4, 12)
-
-
-def test_genus_reason_halves_like_fraction():
-    # analyze formats "genus would be d/2" by hand
-    for d in range(-9, 10):
-        assert _half(d) == str(Fraction(d, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +125,16 @@ def test_square_tiling_over_z2_degenerate():
 def test_trivial_parameters_degenerate():
     _, report = _run("zmod:2", 1, 1)
     assert report.degenerate and report.group_order == 1
+
+
+def test_counts_with_no_closed_surface_raise():
+    # only rho_e or rho_f = I can make a map degenerate; other bad counts are a bug upstream
+    d15 = GroupFingerprint(30, dihedral_spectrum(15), False, 1)
+    with pytest.raises(InvariantViolation, match="no closed surface"):
+        _map_report(30, 4, 2, 3, d15)  # p = 4 does not divide |G| = 30
+    s3 = GroupFingerprint(6, ((1, 1), (2, 3), (3, 2)), False, 1)
+    with pytest.raises(InvariantViolation, match="no closed surface"):
+        _map_report(6, 3, 2, 3, s3)  # V = F = 2, E = 3: 2g = 1
 
 
 def test_counts_satisfy_group_identities():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import pickle
 import random
 import sys
@@ -40,8 +41,8 @@ from polyff.rings import (
     sqrt_in_field,
 )
 
-from oracles import (TupleField, mat_mul_mod, search_sqrt, trial_division_irreducible,
-                     trial_division_prime)
+from oracles import (TupleField, mat_mul_mod, search_sqrt, trial_division_factor,
+                     trial_division_irreducible, trial_division_prime)
 
 RINGS = [
     ZMod(12),
@@ -135,6 +136,28 @@ def test_is_prime_refuses_moduli_past_the_proven_bound():
         ring_make(f"gf:{n}")
     assert not rings.is_prime(n + 2)  # a composite still fails the test
     assert time.perf_counter() - start < 1.0
+
+
+def test_factor_matches_trial_division():
+    # past 127^2 some cofactors are products of two primes >= 131, which Pollard's rho splits
+    for n in range(1, 20_001):
+        assert rings._factor(n) == trial_division_factor(n), n
+
+
+def test_factor_splits_large_composites():
+    assert rings._factor(1) == {}
+    assert rings._factor(2**80) == {2: 80}
+    assert rings._factor(10_007**2 * 1_000_003) == {10_007: 2, 1_000_003: 1}
+    p, q = 1_000_000_007, 1_000_000_009
+    assert list(rings._factor(6 * q * p).items()) == [(2, 1), (3, 1), (p, 1), (q, 1)]
+
+
+def test_cyclic_counts_match_brute_force_totient():
+    phi = [0] + [sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(1, 2001)]
+    for n in range(1, 2001):
+        counts = rings._cyclic_counts(rings._factor(n))
+        assert counts == [(d, phi[d]) for d in range(1, n + 1) if n % d == 0], n
+        assert sum(c for _, c in counts) == n
 
 
 def test_irreducibility_matches_trial_division():
