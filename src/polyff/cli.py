@@ -228,6 +228,19 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
 
 
 def cmd_scan(args) -> int:
+    """Every (x, y) pair of a small ring, as rows and classes.
+
+    Over a field of characteristic p, the Frobenius u -> u^p is a ring
+    automorphism, and ``make_rhos`` has integer-polynomial entries, so
+    (x^p, y^p) gives the rotations of (x, y) with every entry mapped by it.
+    The closure then walks in lockstep and builds the same Cayley table:
+    the report, a cap stop and the dart key agree, and a closed-form row
+    has mapped traces, so the same screen, q', spectrum and orbit key.  So
+    each Frobenius orbit of pairs is answered once, at its least pair, which
+    ``itertools.product`` visits first, and its other pairs copy that row
+    with their own x and y.  On any other ring the map is the identity and
+    every orbit is one pair.
+    """
     _require_positive(cap=args.cap, width=args.width)
     ring = ring_make(args.ring)
     if ring.cardinality > args.max_cardinality:
@@ -235,28 +248,41 @@ def cmd_scan(args) -> int:
             f"scan over cardinality {ring.cardinality} refused "
             f"(limit {args.max_cardinality}; raise with --max-cardinality)")
     elements = list(ring.elements())
+    frob = [ring._pow(u, ring.modulus if ring.is_field else 1)
+            for u in range(ring.cardinality)]
     exact = args.exact_dedupe
     rows = []
     classes: dict[str, dict] = {}
     numbers: dict[str, dict[bytes, int]] = {}  # per fingerprint: dart key -> k of "#k"
+    answers: dict[tuple[int, int], tuple[dict, dict | None]] = {}  # least pair -> row, class
     for x, y in itertools.product(elements, repeat=2):
-        row, darts = _scan_row(ring, x, y, args.cap, exact)
+        orbit = [(x.val, y.val)]
+        while (image := (frob[orbit[-1][0]], frob[orbit[-1][1]])) not in orbit:
+            orbit.append(image)
+        least = min(orbit)
+        if least in answers:
+            first, cls = answers[least]
+            row = {**first, "x": str(x), "y": str(y)}
+        else:
+            row, darts = _scan_row(ring, x, y, args.cap, exact)
+            cls = None
+            if not row["cap_exceeded"]:
+                fp = key = row["fingerprint"]
+                if exact:
+                    known = numbers.setdefault(fp, {})
+                    key = f"{fp}#{known.setdefault(darts, len(known))}"
+                cls = classes.get(key)
+                if cls is None:
+                    cls = classes[key] = {"fingerprint": fp, "count": 0,
+                                          "recognized": row["recognized"],
+                                          "first_x": row["x"], "first_y": row["y"],
+                                          "p": row["p"], "q": row["q"], "genus": row["genus"]}
+                    if exact:
+                        cls["class"] = key
+            answers[least] = row, cls
         rows.append(row)
-        if row["cap_exceeded"]:
-            continue
-        fp = key = row["fingerprint"]
-        if exact:
-            known = numbers.setdefault(fp, {})
-            key = f"{fp}#{known.setdefault(darts, len(known))}"
-        cls = classes.get(key)
-        if cls is None:
-            cls = classes[key] = {"fingerprint": fp, "count": 0,
-                                  "recognized": row["recognized"],
-                                  "first_x": row["x"], "first_y": row["y"],
-                                  "p": row["p"], "q": row["q"], "genus": row["genus"]}
-            if exact:
-                cls["class"] = key
-        cls["count"] += 1
+        if cls is not None:
+            cls["count"] += 1
     class_list = [classes[k] for k in sorted(classes)]
     cap_rows = sum(1 for r in rows if r["cap_exceeded"])
 

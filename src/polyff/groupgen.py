@@ -26,6 +26,7 @@ lookup guarantee for table entries only, not a general isomorphism test.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections import Counter
@@ -64,7 +65,8 @@ class GeneratedGroup:
     generator: ``cayley[g][i]`` is the index of element i times
     ``generators[g]``.  The map pipeline passes the rotations (rho_v,
     rho_e, rho_f) in this order, so ``cayley[0..2]`` are their columns.
-    No other matrix is kept.  Instances are immutable after construction.
+    No other matrix is kept.  Instances are immutable after construction;
+    ``tree`` is computed on first read and kept.
     """
 
     def __init__(self, generators: list[Mat3], cayley: list[list[int]]):
@@ -74,6 +76,13 @@ class GeneratedGroup:
     @property
     def order(self) -> int:
         return len(self.cayley[0])
+
+    @functools.cached_property
+    def tree(self) -> tuple[array, bytearray]:
+        """``schreier_tree`` of the table: one sweep per table, shared by
+        ``order_spectrum`` and ``regmap.dart_model``.  A table the sweep
+        rejects caches nothing, so every read raises."""
+        return schreier_tree(self.cayley, self.order)
 
 
 def generate(gens: Sequence[Mat3], cap: int = CLOSURE_CAP_DEFAULT) -> GeneratedGroup:
@@ -168,8 +177,9 @@ def schreier_tree(cols: Sequence[Sequence[int]], n: int) -> tuple[array, bytearr
     each new index exactly when it is the next unseen one.  Raises
     InvariantViolation when an index is never reached from index 0 or the
     table is not numbered in discovery order.  This is the one check of that
-    numbering, and each reader of it runs the sweep: ``order_spectrum``'s
-    class path and ``regmap.dart_model``.
+    numbering.  Its readers, ``order_spectrum``'s class path and
+    ``regmap.dart_model``, read it through ``GeneratedGroup.tree``, so a
+    table is swept once however many of them run.
     """
     parent = array("l", [0]) * n
     gen = bytearray(n)
@@ -255,7 +265,7 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     """
     n_elems = G.order
     cols = G.cayley
-    parent, gen = schreier_tree(cols, n_elems)
+    parent, gen = G.tree
     class_of, reps, sizes = _conjugacy_classes(cols, parent, gen)
 
     class_order = [0] * len(reps)

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .groupgen import GeneratedGroup, GroupFingerprint, order_spectrum, recognize, schreier_tree
+from .groupgen import GeneratedGroup, GroupFingerprint, order_spectrum, recognize
 
 
 @dataclass(frozen=True)
@@ -117,27 +117,23 @@ def _map_report(order: int, p: int, e_order: int, q: int,
 # ---------------------------------------------------------------------------
 # dart permutations
 
-def _perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
-    """Nontrivial cycles, each starting at its smallest element, sorted."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
+def _cycles_str(perm: tuple[int, ...], names: list[str]) -> str:
+    """Nontrivial cycles in disjoint-cycle notation, ``names[i]`` for dart i.
+
+    Each cycle starts at its smallest element, and the cycles are sorted by it.
+    """
+    seen = bytearray(len(perm))
+    out = []
+    for start, j in enumerate(perm):
+        if seen[start] or j == start:
             continue
-        cycle = [start]
-        seen[start] = True
-        j = perm[start]
+        cycle = [names[start]]
         while j != start:
-            cycle.append(j)
-            seen[j] = True
+            cycle.append(names[j])
+            seen[j] = 1
             j = perm[j]
-        cycles.append(cycle)
-    return cycles
-
-
-def _cycles_str(perm: tuple[int, ...]) -> str:
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in _perm_cycles(perm))
+        out.append("(" + " ".join(cycle) + ")")
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -158,8 +154,9 @@ class DartModel:
 
     def to_text(self) -> str:
         lines = [f"darts {self.degree}"]
+        names = list(map(str, range(self.degree)))
         for name, perm in zip("vef", self.perms()):
-            cyc = _cycles_str(perm)
+            cyc = _cycles_str(perm, names)
             lines.append(f"{name}: {cyc}" if cyc else f"{name}:")
         return "\n".join(lines) + "\n"
 
@@ -191,10 +188,11 @@ def dart_model(G: GeneratedGroup) -> DartModel:
     group ``generate`` builds from (rho_v, rho_e, rho_f) has a dart model.
     The model invariants are checked before returning: the permutations
     compose to the identity, rho_e's is a fixed-point-free involution unless
-    it is the identity, and ``schreier_tree`` sweeps them, so every dart is
-    reached from dart 0 and numbered in breadth-first discovery order, which
-    the ``--darts`` export and ``scan --exact-dedupe``'s keys depend on.  A
-    failure there is a bug trap, not a user error.
+    it is the identity, and the table's ``GeneratedGroup.tree`` sweep (shared
+    with ``order_spectrum``, so a table is swept once) checks that every dart
+    is reached from dart 0 and numbered in breadth-first discovery order,
+    which the ``--darts`` export and ``scan --exact-dedupe``'s keys depend
+    on.  A failure there is a bug trap, not a user error.
     """
     model = DartModel(G.order, *map(tuple, _rotation_columns(G)))
 
@@ -206,7 +204,7 @@ def dart_model(G: GeneratedGroup) -> DartModel:
         raise InvariantViolation("rho_e dart permutation is not an involution")
     if pe != tuple(range(n)) and any(pe[i] == i for i in range(n)):
         raise InvariantViolation("rho_e dart involution has fixed points")
-    schreier_tree(model.perms(), n)
+    G.tree  # read for the sweep's check
     return model
 
 

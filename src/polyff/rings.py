@@ -47,7 +47,6 @@ sqrt5 is the only irrationality needed by the built-in polyhedron catalog.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -225,13 +224,24 @@ def _poly_is_irreducible(m: tuple[int, ...], p: int) -> bool:
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k over F_p, lowest coefficients first.
 
-    Candidates are tried in a fixed order, each by Ben-Or's test.
+    Candidate i = 0, 1, ... is t^k plus the polynomial whose coefficients
+    are the base-p digits of i, constant term lowest, so the constant term
+    varies fastest.  Each is made only when tried, by Ben-Or's test, so the
+    search costs nothing for the candidates past the first irreducible.
+
+    The first p candidates are the binomials t^k + c.  For k <= 4 some
+    binomial is irreducible only when k divides p - 1 (Lidl & Niederreiter,
+    *Finite Fields*, Theorem 3.75), so otherwise they are skipped: the answer
+    is the same, and a large p does not try p reducible binomials first.
     """
-    for lower in itertools.product(range(p), repeat=k):
-        # enumerate by the constant coefficient last so small polynomials win
-        m = tuple(reversed(lower)) + (1,)
-        if _poly_is_irreducible(m, p):
-            return m
+    for i in range(0 if (p - 1) % k == 0 else p, p**k):
+        m = []
+        for _ in range(k):
+            i, c = divmod(i, p)
+            m.append(c)
+        m.append(1)
+        if _poly_is_irreducible(tuple(m), p):
+            return tuple(m)
     raise AssertionError(f"no monic irreducible of degree {k} over F_{p}")
 
 

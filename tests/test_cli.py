@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from polyff import cli, groupgen, regmap
+from polyff import cli, groupgen
 from polyff.cli import _scan_row, main, run_pipeline
 from polyff.groupgen import CLOSURE_CAP_DEFAULT
 from polyff.regmap import DartModel, dart_model, maps_equivalent
@@ -138,6 +138,22 @@ def test_closed_form_row_recognized_at_once(capsys, q):
     assert order % report["p"] == 0 and order % report["q"] == 0
 
 
+def test_extension_over_a_large_prime_is_built_at_once(capsys):
+    # the search for t^2 + 1 makes each candidate only when it tries it,
+    # with no tuple of the p coefficients first
+    q = 1_000_000_007 ** 2
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "--ring", "gf:1000000007^2", "--x", "t", "--y", "t+1")
+    assert (code, out) == (4, "")
+    assert err.startswith("polyff: closure exceeded cap 1000000 ")
+    code, out, _ = run(capsys, "analyze", "--ring", "gf:1000000007^2", "--x", "t", "--y", "t+1",
+                       "--cap", str(10**80))
+    assert time.perf_counter() - start < 2
+    report = json.loads(out)
+    assert code == 0 and report["ring"] == "gf:1000000007^2:t^2+1"
+    assert report["group_order"] in (q * (q * q - 1), q * (q * q - 1) // 2)
+
+
 def test_darts_flag(capsys):
     code, out, _ = run(capsys, "specialize", "--solid", "cube", "--ring", "gf:2",
                        "--darts")
@@ -247,9 +263,14 @@ def test_scan_rows_run_on_the_calling_thread(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, sweeps", [
-    (["--ring", "zmod:29", "--x", "2", "--y", "3"], 0),  # closed form: no walk, no numbering
-    (["--ring", "zmod:29", "--x", "2", "--y", "3", "--darts"], 1),  # dart_model
-    (["--ring", "gf:2^3", "--x", "t", "--y", "t+1"], 1),  # class path
+    # closed form: no walk, no numbering
+    (["analyze", "--ring", "zmod:29", "--x", "2", "--y", "3"], 0),
+    (["analyze", "--ring", "zmod:29", "--x", "2", "--y", "3", "--darts"], 1),  # dart_model
+    (["analyze", "--ring", "gf:2^3", "--x", "t", "--y", "t+1"], 1),  # class path
+    # the class path and dart_model share one sweep of the table
+    (["analyze", "--ring", "gf:2^3", "--x", "t", "--y", "t+1", "--darts"], 1),
+    # 27 of the 49 rows walk, and each walked row needs both its spectrum and its dart key
+    (["scan", "--ring", "zmod:7", "--exact-dedupe"], 27),
 ])
 def test_schreier_sweep_runs_only_where_the_numbering_is_read(capsys, monkeypatch, argv, sweeps):
     sweep, sizes = groupgen.schreier_tree, []
@@ -257,9 +278,8 @@ def test_schreier_sweep_runs_only_where_the_numbering_is_read(capsys, monkeypatc
     def counted(cols, n):
         sizes.append(n)
         return sweep(cols, n)
-    monkeypatch.setattr(regmap, "schreier_tree", counted)
     monkeypatch.setattr(groupgen, "schreier_tree", counted)
-    code, _, _ = run(capsys, "analyze", *argv)
+    code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(sizes) == sweeps
 
@@ -380,6 +400,71 @@ def test_scan_rows_invariant_under_frobenius(capsys, spec):
         moved += image != (x, y)
         assert rows[image] == row, ((x, y), image)
     assert moved > 0
+
+
+@pytest.mark.parametrize("spec, calls", [("gf:2^2", 10), ("gf:2^3", 24), ("gf:3^2", 45),
+                                         ("gf:2^4", 70), ("zmod:7", 49), ("gf:7", 49)])
+def test_scan_answers_each_frobenius_orbit_once(capsys, monkeypatch, spec, calls):
+    # GF(p^k) has p^j elements fixed by the j-th Frobenius power, so its pairs fall
+    # into orbits of sizes dividing k; over a prime field every orbit is one pair
+    answered = []
+
+    def counted(ring, x, y, cap, exact):
+        answered.append((x, y))
+        return _scan_row(ring, x, y, cap, exact)
+    monkeypatch.setattr(cli, "_scan_row", counted)
+    code, _, _ = run(capsys, "scan", "--ring", spec, "--exact-dedupe")
+    assert code == 0
+    assert len(answered) == len(set(answered)) == calls
+
+
+def _reference_scan(spec: str, cap: int, exact: bool) -> tuple[list, list]:
+    """Rows and classes of a scan that calls ``_scan_row`` for every pair, with no reuse."""
+    ring = ring_make(spec)
+    rows, classes, numbers = [], {}, {}
+    for x in ring.elements():
+        for y in ring.elements():
+            row, darts = _scan_row(ring, x, y, cap, exact)
+            rows.append(row)
+            if row["cap_exceeded"]:
+                continue
+            fp = key = row["fingerprint"]
+            if exact:
+                known = numbers.setdefault(fp, {})
+                key = f"{fp}#{known.setdefault(darts, len(known))}"
+            cls = classes.setdefault(key, {"fingerprint": fp, "count": 0,
+                                           "recognized": row["recognized"],
+                                           "first_x": row["x"], "first_y": row["y"],
+                                           "p": row["p"], "q": row["q"], "genus": row["genus"],
+                                           **({"class": key} if exact else {})})
+            cls["count"] += 1
+    return rows, [classes[k] for k in sorted(classes)]
+
+
+@pytest.mark.parametrize("spec", ["gf:2^2", "gf:2^3", "gf:3^2", "gf:2^4"])
+def test_scan_with_orbit_reuse_matches_a_scan_of_every_pair(capsys, spec):
+    rows, classes = _reference_scan(spec, CLOSURE_CAP_DEFAULT, True)
+    code, out, _ = run(capsys, "scan", "--ring", spec, "--format", "json", "--exact-dedupe")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "ring": ring_make(spec).spec_string(),
+                               "rows": rows, "classes": classes}
+
+    rows, classes = _reference_scan(spec, CLOSURE_CAP_DEFAULT, False)
+    code, out, err = run(capsys, "scan", "--ring", spec)
+    assert code == 0
+    assert out == cli._csv_text(rows)
+    assert err == "".join(f"# class {c['fingerprint']}: count={c['count']} "
+                          f"recognized={c['recognized']}\n" for c in classes)
+
+    rows, classes = _reference_scan(spec, 20, False)
+    code, out, _ = run(capsys, "scan", "--ring", spec, "--format", "text", "--cap", "20")
+    assert code == (4 if any(r["cap_exceeded"] for r in rows) else 0)
+    lines = [" ".join(f"{c}={v}" for c, v in zip(cli.SCAN_COLUMNS, cli._csv_values(r)))
+             for r in rows]
+    lines.append(f"classes: {len(classes)}")
+    lines += [f"  {c['fingerprint']} count={c['count']} recognized={c['recognized']}"
+              for c in classes]
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_scan_rejects_modulus_one(capsys):

@@ -81,6 +81,33 @@ def test_ring_make_gf4_finds_unique_irreducible():
     assert r.spec_string() == "gf:2^2:t^2+t+1"
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_find_irreducible_keeps_the_candidate_order(k):
+    # the chosen polynomial names the field in spec strings and fixes its codes,
+    # so it must stay the first in the order of itertools.product, constant term last
+    def first_by_product(p):
+        for lower in itertools.product(range(p), repeat=k):
+            m = tuple(reversed(lower)) + (1,)
+            if rings._poly_is_irreducible(m, p):
+                return m
+    for p in filter(rings.is_prime, range(2, 102)):
+        assert rings._find_irreducible(p, k) == first_by_product(p), p
+
+
+@pytest.mark.parametrize("p, k", [(1_000_000_007, 3), (1_000_000_007, 4), (10**18 + 3, 4)])
+def test_find_irreducible_skips_binomials_over_a_large_prime(p, k):
+    # k does not divide p - 1, so no binomial t^k + c is irreducible (Lidl & Niederreiter,
+    # Theorem 3.75): the answer is the first irreducible among the candidates after them
+    assert (p - 1) % k
+    assert not any(rings._poly_is_irreducible((c,) + (0,) * (k - 1) + (1,), p)
+                   for c in range(50))
+    m = rings._find_irreducible(p, k)
+    index = sum(c * p**j for j, c in enumerate(m[:k]))
+    assert p <= index < p + 100
+    for i in range(p, index):
+        assert not rings._poly_is_irreducible((i - p, 1) + (0,) * (k - 2) + (1,), p)
+
+
 def test_ring_make_explicit_poly():
     r = ring_make("gf:7^2:t^2+2")
     assert r.ext_poly == (2, 0, 1)
