@@ -1,16 +1,26 @@
 """Rotation groups in closed form or by closure, order spectra, and recognition.
 
-Over a field of odd characteristic p, a row whose rotations preserve a
-form B with det B != 0 generates a subgroup of SO(3, B) = PGL(2, q).  By
-Macbeath's classification (A. M. Macbeath, "Generators of the linear
-fractional groups", 1969; Dickson, *Linear Groups*, ch. XII) it is dihedral,
-A4, S4, A5, or PSL(2, q') or PGL(2, q') for the field F_q' that the traces
-of rho_v and rho_f generate.  ``linear_fractional_group`` answers the last
-kind from the two traces, with no walk.  Every other row walks: rows
-without such a form (composite moduli, characteristic 2, x or y = +-1),
-rows that ``screened_to_walk`` keeps (rho_v or rho_f of order 2, or (p, q)
-spherical in the trichotomy of ``catalog.classify_pq``, or (5, 5)), and rows
-whose dart model is asked for.
+Over a field of odd characteristic p, every rotation group preserves the
+symmetric form B of ``universal.invariant_form``, with
+det B = -(x - 1)^2 (x + 1)(y - 1)(y + 1)^2.  Two kinds of row are answered
+with no walk:
+
+- det B != 0: the group is a subgroup of SO(3, B) = PGL(2, q).  By
+  Macbeath's classification (A. M. Macbeath, "Generators of the linear
+  fractional groups", 1969; Dickson, *Linear Groups*, ch. XII) it is
+  dihedral, A4, S4, A5, or PSL(2, q') or PGL(2, q') for the field F_q' that
+  the traces of rho_v and rho_f generate.  ``linear_fractional_group``
+  answers the last kind from the two traces.
+- det B = 0 (x or y = +-1; not the report's ``degenerate`` flag): the
+  group fixes the radical of B and is a group of translations extended by
+  a cyclic or dihedral point group, the finite analogue of a Euclidean
+  torus map at y = -1.  ``translation_point_group`` answers it from x, y
+  and the traces.
+
+Every other row walks: rows over composite moduli or in characteristic 2,
+rows that ``screened_to_walk`` keeps ((p, q) spherical in the trichotomy of
+``catalog.classify_pq``, or the great dodecahedron's (5, 5)), and rows whose
+dart model is asked for.
 
 The walk is a breadth-first closure from the identity under right
 multiplication by the generators, which numbers the elements in discovery
@@ -325,6 +335,8 @@ def _trace_order(ring, t: int, q: int, factors: dict[int, dict[int, int]]) -> in
     order ord(lam), which divides n = q - 1 when V_(q-1)(s) = 2 (lam in F_q)
     and n = q + 1 otherwise.  lam^n = 1 exactly when V_n(s) = 2, and the
     least such n is found by dividing out the primes of ``factors[n]``.
+    A rotation of a det B = 0 row with eigenvalues 1, lam, 1/lam and
+    lam != +-1 is diagonalizable too, so the same n is its order.
     """
     if t == ring._from_int(3):
         return ring.modulus
@@ -337,23 +349,37 @@ def _trace_order(ring, t: int, q: int, factors: dict[int, dict[int, int]]) -> in
 
 
 def screened_to_walk(ring, t_v: int, t_f: int) -> bool:
-    """Whether a row whose rho_v and rho_f have traces t_v and t_f must walk.
+    """Whether a row with det B != 0 and traces (t_v, t_f) of rho_v and rho_f must walk.
 
     In SO(3, B), odd characteristic, g != I has order 2, 3, 4 or 5 exactly
-    when its trace is -1, 0, 1 or a root of t^2 - t - 1.  A row walks when
-    either order is 2 (dihedral), or when both orders (p, q) are known and
-    the triangle group (2, p, q) is finite, ``classify_pq(p, q)`` SPHERICAL
-    (maybe A4, S4 or A5), or when (p, q) = (5, 5), which can still give A5
-    (the great dodecahedron).  Every other row has an infinite (2, p, q) and
-    a closed form.  Over other rings it is not read.
+    when its trace is -1, 0, 1 or a root of t^2 - t - 1.  Trace -1 does not
+    occur: t_f = 1 - 2x = -1 means x = 1, and t_v = (1 + x)(1 - y) - 1 = -1
+    means x = -1 or y = 1, all rows with det B = 0.  A row walks when both
+    orders (p, q) are known and the triangle group (2, p, q) is finite,
+    ``classify_pq(p, q)`` SPHERICAL (maybe A4, S4 or A5), or when
+    (p, q) = (5, 5) with t_v != t_f: the two roots of t^2 - t - 1, the great
+    dodecahedron {5, 5/2}, which gives A5.  A (5, 5) row with t_v = t_f
+    generates PSL(2, q'), as does every row with an infinite (2, p, q), so
+    it has a closed form.  Over other rings it is not read.
     """
-    minus_one, zero, one = map(ring._from_int, (-1, 0, 1))
-    if minus_one in (t_v, t_f):
-        return True
+    zero, one = ring._from_int(0), ring._from_int(1)
     p, q = (3 if t == zero else 4 if t == one else
             5 if ring._sub(ring._mul(t, t), ring._add(t, one)) == zero else 0
             for t in (t_v, t_f))
-    return bool(p and q) and (classify_pq(p, q) is TilingClass.SPHERICAL or p == q == 5)
+    return bool(p and q) and (classify_pq(p, q) is TilingClass.SPHERICAL
+                              or p == q == 5 and t_v != t_f)
+
+
+def _frobenius_orbit(ring, traces: tuple[int, int]) -> list[tuple[int, int]]:
+    """The images of (t_v, t_f) under u -> u^p, p the characteristic, until it comes back.
+
+    Its length d gives q' = p^d, the order of the subfield the traces
+    generate, and its least pair is a row's dedupe key.
+    """
+    orbit = [traces]
+    while (image := tuple(ring._pow(t, ring.modulus) for t in orbit[-1])) != traces:
+        orbit.append(image)
+    return orbit
 
 
 def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int, int],
@@ -385,9 +411,7 @@ def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int,
                 or g.det().val != one:
             raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
     char = ring.modulus
-    orbit = [traces]
-    while (image := tuple(ring._pow(t, char) for t in orbit[-1])) != traces:
-        orbit.append(image)
+    orbit = _frobenius_orbit(ring, traces)
     qp = char ** len(orbit)  # q'
     e = 2 if all(ring._pow(ring._add(t, one), (qp - 1) // 2) == one for t in traces) else 1
     order = qp * (qp * qp - 1) // e
@@ -401,6 +425,83 @@ def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int,
             counts[d] += phi * size
     fp = GroupFingerprint(order, tuple(sorted(counts.items())), False, 1)
     return fp, *(_trace_order(ring, t, qp, factors) for t in traces), min(orbit)
+
+
+def translation_point_group(ring, x: int, y: int, traces: tuple[int, int],
+                            cap: int = CLOSURE_CAP_DEFAULT
+                            ) -> tuple[GroupFingerprint, int, int, tuple[int, int]] | None:
+    """Fingerprint, p, q and dedupe key of a row with det B = 0, or None for any other row.
+
+    Over a field of odd characteristic P, B (``invariant_form``) has det B = 0
+    exactly when x or y is +-1; x and y are codes and ``traces`` is (t_v, t_f).
+    (This is not the report's ``degenerate`` flag: these maps are not
+    degenerate.)  G preserves the radical of B (a line, a plane, or all of
+    F^3 at x = 1, y = -1, where B = 0), and G = T : H: T is the normal
+    subgroup of unipotent elements, a P-group of exponent P (translations),
+    and H, the point group, has order prime to P.  With q' = |F_P(t)| for t
+    whichever of x, y is not +-1 (the length of ``_frobenius_orbit``, since
+    F_P(t) = F_P(t_v, t_f)):
+
+    - x = 1, y != +-1: H = D_p, p the order of rho_v, |T| = q'^2, q = 2P;
+      y = 1, x != +-1 is the dual, H = D_q, p = 2P;
+    - y = -1, x != +-1 (dihedral angle pi, the Euclidean case): H = C_n,
+      n = max(p, q), |T| = q'^2;
+    - x = -1, y != 1 (p, q = 2P, P) and x = 1, y = -1 (p, q = P, 2P):
+      H = C_2, |T| = P^2;
+    - x = y = 1: H = C_2 x C_2, |T| = P^3, p = q = 2P;
+    - x = -1, y = 1: D_P, that is H = C_2 and |T| = P, p = 2, q = P.
+
+    p or q that the case leaves open comes from the trace by ``_trace_order``.
+    |T|, H, p and q were measured against the walk on every such row of 16
+    rings (README), and the tests repeat that on eight.  The spectrum and the
+    center follow with no walk over T.  An element h != 1 of H has order m
+    prime to P.  The elements of order m in its coset T.h are its conjugates
+    under T (the complements of T in T<h> are conjugate), |T : C_T(h)| of
+    them, and the others have order mP, as (th)^m is then in T but not 1.
+    A rotation of C_n or D_n fixes no element of T = F_q'^2 (it has no
+    eigenvalue 1), a reflection of D_n fixes a line of q', and each
+    involution of the C_2 and C_2 x C_2 cases fixes P.  No h != 1
+    centralizes T, so the center lies in T and is C_T(H): P when H = C_2
+    and |T| = P^2, else 1 (at x = y = 1 the three involutions fix no
+    common element; measured).  The key is the least Frobenius image of
+    (t_v, t_f), as in ``linear_fractional_group``: t_f = 1 - 2x and
+    t_v = (1 + x)(1 - y) - 1 fix (x, y) when x != -1, and the x = -1 rows of
+    one fingerprint are one map.
+
+    Raises CapExceeded(cap), as the walk would, when |G| > cap.
+    """
+    one, minus_one = ring._from_int(1), ring._from_int(-1)
+    if not ring.is_field or ring.cardinality % 2 == 0 or not {x, y} & {one, minus_one}:
+        return None
+    char = ring.modulus
+    orbit = _frobenius_orbit(ring, traces)
+    qp = char ** len(orbit)  # q'
+    # |T|, the elements h != 1 of H as (order, how many, |C_T(h)|), the center, p, q
+    if x == minus_one and y == one:
+        t_size, point, center, p, q = char, [(2, 1, 1)], 1, 2, char
+    elif x == minus_one or x == one and y == minus_one:
+        t_size, point, center = char * char, [(2, 1, char)], char
+        p, q = (2 * char, char) if x == minus_one else (char, 2 * char)
+    elif x == y == one:
+        t_size, point, center, p, q = char ** 3, [(2, 3, char)], 1, 2 * char, 2 * char
+    else:
+        factors = {n: _factor(n) for n in (qp - 1, qp + 1)}
+        p = 2 * char if y == one else _trace_order(ring, traces[0], qp, factors)
+        q = 2 * char if x == one else _trace_order(ring, traces[1], qp, factors)
+        n = p if x == one else q if y == one else max(p, q)
+        point = [(d, phi, 1) for d, phi in _cyclic_counts(_factor(n))[1:]]
+        if y != minus_one:
+            point.append((2, n, qp))  # the n reflections of D_n
+        t_size, center = qp * qp, 1
+    order = t_size * (1 + sum(k for _, k, _ in point))
+    if order > cap:
+        raise CapExceeded(cap)
+    counts = Counter({1: 1, char: t_size - 1})
+    for m, k, fix in point:
+        counts[m] += k * t_size // fix
+        counts[m * char] += k * (t_size - t_size // fix)
+    spectrum = tuple(sorted((d, c) for d, c in counts.items() if c))
+    return GroupFingerprint(order, spectrum, False, center), p, q, min(orbit)
 
 
 # ---------------------------------------------------------------------------

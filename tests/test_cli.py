@@ -118,6 +118,30 @@ def test_closed_form_cap_exits_at_once(capsys):
     assert (code, report["group_order"], report["p"], report["q"]) == (0, 1123980, 13, 65)
 
 
+def test_det0_closed_form_cap_exits_at_once(capsys):
+    # x = y = 1 over gf:101 has |G| = 4 * 101^3 = 4,121,204 (translations by
+    # a group of order 4): read off at once, past the cap or not
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "--ring", "gf:101", "--x", "1", "--y", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == ("polyff: closure exceeded cap 1000000 "
+                   "(the group has more than 1000000 elements)\n")
+    code, out, _ = run(capsys, "analyze", "--ring", "gf:101", "--x", "1", "--y", "1",
+                       "--cap", "5000000")
+    report = json.loads(out)
+    assert (code, report["group_order"], report["p"], report["q"]) == (0, 4121204, 202, 202)
+
+
+def test_det0_row_darts_walk_and_agree(capsys):
+    # --darts walks a det B = 0 row too, and the walk must agree with the closed form
+    code, out, _ = run(capsys, "analyze", "--ring", "gf:5", "--x", "1", "--y", "2", "--darts")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["group_order"], report["p"], report["q"]) == (300, 6, 10)
+    assert report["darts"].startswith("darts 300\n")
+
+
 @pytest.mark.parametrize("q", [100_003, 1_000_003, 1_000_000_007, 1_000_000_000_000_000_003,
                                3_317_044_064_679_887_385_961_813])
 def test_closed_form_row_recognized_at_once(capsys, q):
@@ -269,8 +293,9 @@ def test_scan_rows_run_on_the_calling_thread(capsys, monkeypatch):
     (["analyze", "--ring", "gf:2^3", "--x", "t", "--y", "t+1"], 1),  # class path
     # the class path and dart_model share one sweep of the table
     (["analyze", "--ring", "gf:2^3", "--x", "t", "--y", "t+1", "--darts"], 1),
-    # 27 of the 49 rows walk, and each walked row needs both its spectrum and its dart key
-    (["scan", "--ring", "zmod:7", "--exact-dedupe"], 27),
+    # 3 of the 49 rows walk (the 24 with x or y = +-1 and 22 others have closed
+    # forms), and each walked row needs both its spectrum and its dart key
+    (["scan", "--ring", "zmod:7", "--exact-dedupe"], 3),
 ])
 def test_schreier_sweep_runs_only_where_the_numbering_is_read(capsys, monkeypatch, argv, sweeps):
     sweep, sizes = groupgen.schreier_tree, []

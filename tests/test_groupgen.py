@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
+import json
 import tracemalloc
+from array import array
+from contextlib import redirect_stdout
 
 import pytest
 
 from polyff.catalog import TilingClass, classify_pq
-from polyff.cli import _row, run_pipeline
+from polyff.cli import SCAN_COLUMNS, _row, main, report_dict, run_pipeline
 from polyff.errors import CapExceeded, InvariantViolation, NonInvertibleGenerator
 from polyff.groupgen import (
     CLOSURE_CAP_DEFAULT,
@@ -21,9 +26,11 @@ from polyff.groupgen import (
     order_spectrum,
     recognize,
     screened_to_walk,
+    translation_point_group,
 )
 from polyff.mat3 import Mat3
-from polyff.rings import GaloisField, ZMod, ring_make
+from polyff.regmap import dart_model
+from polyff.rings import GaloisField, RingElem, ZMod, ring_make
 from polyff.universal import (GeneratorSet, PolyhedronParams, invariant_form, make_rhos,
                               make_sigmas, rotation_traces)
 
@@ -242,31 +249,147 @@ def test_spectrum_matches_per_element_reference(spec):
                 == reference_fingerprint(group), (spec, x, y)
 
 
-# every row with an invariant form over two extension fields, four GF(p)
-# fields and one zmod prime; gf:5^2's walks take most of the test's time
+@pytest.fixture(scope="module")
+def walked():
+    """spec -> {(x, y): (the walk's report, its dart key)} for every row, each ring walked once.
+
+    Each Frobenius orbit of pairs is walked once, at its least pair, which
+    comes first in ``itertools.product`` order: (x^p, y^p) has the Cayley
+    table of (x, y) (``cli.cmd_scan``; ``test_scan_rows_invariant_under_frobenius``).
+    Over a prime field every orbit is one pair.  The dart key is a digest
+    of the bytes ``cli._scan_row`` keys a walked row by.
+    """
+    rings: dict[str, dict] = {}
+
+    def rows(spec):
+        if spec not in rings:
+            ring = ring_make(spec)
+            walks, out = {}, {}
+            for x, y in itertools.product(ring.elements(), repeat=2):
+                orbit = [(x.val, y.val)]
+                while (image := tuple(ring._pow(u, ring.modulus) for u in orbit[-1])) \
+                        != orbit[0]:
+                    orbit.append(image)
+                if min(orbit) not in walks:
+                    group, report = run_pipeline(PolyhedronParams(x, y))
+                    darts = b"".join(array("l", perm).tobytes()
+                                     for perm in dart_model(group).perms())
+                    walks[min(orbit)] = report, hashlib.sha256(darts).digest()
+                out[x, y] = walks[min(orbit)]
+            rings[spec] = out
+        return rings[spec]
+    return rows
+
+
+DIFFERENTIAL_RINGS = ["gf:3", "gf:5", "gf:7", "gf:11", "gf:13", "gf:3^2", "gf:5^2", "zmod:7"]
+
+
 @pytest.mark.parametrize("spec", ["zmod:7", "gf:5", "gf:7", "gf:3^2", "gf:11", "gf:13", "gf:5^2"])
-def test_trace_spectrum_matches_class_spectrum(spec):
+def test_trace_spectrum_matches_class_spectrum(spec, walked):
     # the closed form (PSL(2, q') or PGL(2, q') from the traces) against the
-    # walk and its class-path spectrum: order, p, q, V/E/F, genus, fingerprint
+    # walk and its class-path spectrum, on every row with an invariant form:
+    # order, p, q, V/E/F, genus, fingerprint
     ring = ring_make(spec)
     closed = 0
-    for x, y in itertools.product(ring.elements(), repeat=2):
+    for (x, y), (walk, _) in walked(spec).items():
         params = PolyhedronParams(x, y)
         if invariant_form(params) is None:
             continue
+        # no rotation has order 2 (trace -1 needs x or y = +-1), and a row
+        # walks exactly when its group is a quotient of a spherical triangle
+        # group, or A5 at (5, 5) (the great dodecahedron); the other (5, 5)
+        # rows are PSL(2, 9) over gf:3^2 and PSL(2, 11) over gf:11
+        p, q = walk.p, walk.q
+        assert 2 not in (p, q), (spec, x, y)
+        walks = classify_pq(p, q) is TilingClass.SPHERICAL or walk.recognized == "A5"
+        traces = rotation_traces(GeneratorSet.from_params(params))
+        assert walks == screened_to_walk(ring, *traces), (spec, x, y, p, q)
         report, _, key = _row(params, CLOSURE_CAP_DEFAULT)
-        walked = run_pipeline(params)[1]
-        # a row walks exactly when it is dihedral, a quotient of a spherical
-        # triangle group (at most A5), or (5, 5), whose traces do not tell A5
-        # from PSL(2, q') (PSL(2, 9) and PSL(2, 11) rows over gf:3^2 and gf:11)
-        p, q = walked.p, walked.q
-        walks = 2 in (p, q) or classify_pq(p, q) is TilingClass.SPHERICAL or p == q == 5
         assert walks == (key is None), (spec, x, y, p, q)
-        if key is None:
+        if walks:
             continue
         closed += 1
-        assert report == walked, (spec, x, y)
+        assert report == walk, (spec, x, y)
     assert closed >= ring.cardinality
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_RINGS)
+def test_translation_point_group_matches_the_walk(spec, walked):
+    # the det B = 0 closed form claims exactly the rows with x or y = +-1 (no
+    # invariant form over an odd field), and each of its answers is the walk's
+    ring = ring_make(spec)
+    claimed = 0
+    for (x, y), (walk, _) in walked(spec).items():
+        params = PolyhedronParams(x, y)
+        traces = rotation_traces(GeneratorSet.from_params(params))
+        answer = translation_point_group(ring, x.val, y.val, traces)
+        assert (answer is None) == (invariant_form(params) is not None), (spec, x, y)
+        if answer is None:
+            continue
+        claimed += 1
+        assert _row(params, CLOSURE_CAP_DEFAULT)[0] == walk, (spec, x, y)
+    assert claimed == 4 * ring.cardinality - 4
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_RINGS)
+def test_closed_form_keys_split_rows_as_the_dart_keys_do(spec, walked):
+    # row by row, (fingerprint, closed-form key or dart key) and (fingerprint,
+    # dart key) give the same partition; then a scan's classes are those of a
+    # reference scan that walks every row and keys it by its darts
+    ring = ring_make(spec)
+    scan_keys, dart_keys = [], []
+    rows, classes, numbers = [], {}, {}
+    for (x, y), (walk, darts) in walked(spec).items():
+        params = PolyhedronParams(x, y)
+        key = _row(params, CLOSURE_CAP_DEFAULT)[2]
+        fp = walk.fingerprint.serialize()
+        scan_keys.append((fp, darts if key is None else key))
+        dart_keys.append((fp, darts))
+        row = {column: value for column, value in report_dict(ring, params, walk).items()
+               if column in SCAN_COLUMNS}
+        rows.append({**row, "cap_exceeded": False})
+        known = numbers.setdefault(fp, {})
+        name = f"{fp}#{known.setdefault(darts, len(known))}"
+        cls = classes.setdefault(name, {"fingerprint": fp, "count": 0,
+                                        "recognized": walk.recognized,
+                                        "first_x": str(x), "first_y": str(y), "p": walk.p,
+                                        "q": walk.q, "genus": walk.genus, "class": name})
+        cls["count"] += 1
+    assert len(set(scan_keys)) == len(set(dart_keys)) == len(set(zip(scan_keys, dart_keys)))
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["scan", "--ring", spec, "--format", "json", "--exact-dedupe"]) == 0
+    assert json.loads(out.getvalue()) == {"schema": 1, "ring": ring.spec_string(), "rows": rows,
+                                          "classes": [classes[k] for k in sorted(classes)]}
+
+
+def test_translation_point_group_caps_as_the_walk_does():
+    # |G| > cap raises CapExceeded(cap) at once, exactly where the walk would
+    ring = ring_make("gf:5")
+    for x, y in itertools.product(ring.elements(), repeat=2):
+        gens = GeneratorSet.from_params(PolyhedronParams(x, y))
+        rhos, traces = [gens.rho_v, gens.rho_e, gens.rho_f], rotation_traces(gens)
+        if translation_point_group(ring, x.val, y.val, traces) is None:
+            continue
+        order = generate(rhos).order
+        assert translation_point_group(ring, x.val, y.val, traces, order)[0].order == order
+        for attempt in (lambda: translation_point_group(ring, x.val, y.val, traces, order - 1),
+                        lambda: generate(rhos, cap=order - 1)):
+            with pytest.raises(CapExceeded) as info:
+                attempt()
+            assert info.value.cap == order - 1
+
+
+def test_translation_point_group_declines_other_rings():
+    # characteristic 2 and composite moduli have no such closed form: their rows walk
+    for spec in ("gf:2^3", "zmod:9", "zmod:15"):
+        ring = ring_make(spec)
+        one = ring._from_int(1)
+        for x, y in ((one, one), (one, ring._from_int(0)), (ring._from_int(-1), one)):
+            traces = rotation_traces(GeneratorSet.from_params(
+                PolyhedronParams(RingElem(ring, x), RingElem(ring, y))))
+            assert translation_point_group(ring, x, y, traces) is None, (spec, x, y)
 
 
 def test_certified_order_must_divide_pgl2_order():
