@@ -26,12 +26,10 @@ from .errors import (
     PolyffError,
     UnsupportedRing,
 )
-from .groupgen import (CLOSURE_CAP_DEFAULT, GeneratedGroup, generate, linear_fractional_group,
-                       screened_to_walk, translation_point_group)
+from .groupgen import CLOSURE_CAP_DEFAULT, GeneratedGroup, closed_form, generate
 from .regmap import RegularMapReport, _map_report, analyze, dart_model
 from .rings import Ring, ZMod, ring_make
-from .universal import (GeneratorSet, PolyhedronParams, invariant_form, rotation_traces,
-                        survey_relations)
+from .universal import GeneratorSet, PolyhedronParams, survey_relations
 
 SCHEMA_VERSION = 1
 SCAN_CARDINALITY_DEFAULT = 64
@@ -51,22 +49,17 @@ def run_pipeline(params: PolyhedronParams,
 def _row(params: PolyhedronParams, cap: int, walk: bool = False):
     """One row's (report, walked group or None, closed-form dedupe key or None).
 
-    Two kinds of row over a field of odd order are answered in closed form:
-    a row with det B = 0 (x or y = +-1; ``translation_point_group``), and a
-    row with an invariant form that ``screened_to_walk`` lets through
-    (``linear_fractional_group``).  Every other row walks.  With ``walk``, a
-    closed-form row walks too, and the walk's |G|, p and q must agree.
+    A row that ``closed_form`` answers (over a field of odd order, every
+    row but those its trace screen keeps) skips the walk; every other row
+    walks.  With ``walk``, a closed-form row walks too, and the walk's |G|,
+    p and q must agree.
     """
     gens = GeneratorSet.from_params(params)
     rhos = [gens.rho_v, gens.rho_e, gens.rho_f]
-    traces = rotation_traces(gens)
-    answer = translation_point_group(gens.ring, params.x.val, params.y.val, traces, cap)
+    answer = closed_form(params, gens, cap)
     if answer is None:
-        form = None if screened_to_walk(gens.ring, *traces) else invariant_form(params)
-        if form is None:
-            group = generate(rhos, cap=cap)
-            return analyze(group), group, None
-        answer = linear_fractional_group(rhos, form, traces, cap)
+        group = generate(rhos, cap=cap)
+        return analyze(group), group, None
     fp, p, q, key = answer
     report = _map_report(fp.order, p, 2, q, fp)  # rho_e has order 2 in odd characteristic
     if not walk:
@@ -144,6 +137,8 @@ def _csv_text(rows: list[dict]) -> str:
 def _report_command(args, ring: Ring, params: PolyhedronParams,
                     extra_keys=lambda report: {}) -> int:
     """Run one parameter pair and emit its report, with the command's extra keys."""
+    if args.darts and args.format == "csv":
+        raise PolyffError("--darts needs --format json or text: csv prints only the scan columns")
     report, group, _ = _row(params, args.cap, walk=args.darts)
     d = report_dict(ring, params, report)
     d.update(extra_keys(report))
@@ -207,14 +202,13 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
     before it walked any element.
 
     With ``exact``, the key is equal for two rows of one fingerprint exactly
-    when their maps are equivalent: a closed-form row's trace key, the least
-    Frobenius image of (t_v, t_f) (``translation_point_group`` for a row with
-    det B = 0, ``linear_fractional_group`` for one with a form; tests check
-    both against the dart keys), or the bytes of a walked row's three dart
-    permutations.  ``generate``
-    numbers the darts by a breadth-first walk from dart 0 (``dart_model``
-    rejects any other numbering).  The actions are regular, so a conjugating
-    bijection may be taken to fix dart 0, and along the walk it fixes all.
+    when their maps are equivalent: a closed-form row's key from
+    ``closed_form``, the least Frobenius image of (t_v, t_f) (tests check it
+    against the dart keys), or the bytes of a walked row's three dart
+    permutations.  ``generate`` numbers the darts by a breadth-first walk
+    from dart 0 (``dart_model`` rejects any other numbering).  The actions
+    are regular, so a conjugating bijection may be taken to fix dart 0, and
+    along the walk it fixes all.
     """
     params = PolyhedronParams(x, y)
     try:

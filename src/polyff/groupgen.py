@@ -2,25 +2,23 @@
 
 Over a field of odd characteristic p, every rotation group preserves the
 symmetric form B of ``universal.invariant_form``, with
-det B = -(x - 1)^2 (x + 1)(y - 1)(y + 1)^2.  Two kinds of row are answered
-with no walk:
+det B = -(x - 1)^2 (x + 1)(y - 1)(y + 1)^2.  ``closed_form`` answers two
+kinds of row with no walk, from x, y and the traces of rho_v and rho_f:
 
 - det B != 0: the group is a subgroup of SO(3, B) = PGL(2, q).  By
   Macbeath's classification (A. M. Macbeath, "Generators of the linear
   fractional groups", 1969; Dickson, *Linear Groups*, ch. XII) it is
   dihedral, A4, S4, A5, or PSL(2, q') or PGL(2, q') for the field F_q' that
-  the traces of rho_v and rho_f generate.  ``linear_fractional_group``
-  answers the last kind from the two traces.
+  the two traces generate, and the last kind is answered.
 - det B = 0 (x or y = +-1; not the report's ``degenerate`` flag): the
   group fixes the radical of B and is a group of translations extended by
   a cyclic or dihedral point group, the finite analogue of a Euclidean
-  torus map at y = -1.  ``translation_point_group`` answers it from x, y
-  and the traces.
+  torus map at y = -1.
 
 Every other row walks: rows over composite moduli or in characteristic 2,
-rows that ``screened_to_walk`` keeps ((p, q) spherical in the trichotomy of
-``catalog.classify_pq``, or the great dodecahedron's (5, 5)), and rows whose
-dart model is asked for.
+rows that ``closed_form``'s trace screen keeps ((p, q) spherical in the
+trichotomy of ``catalog.classify_pq``, or the great dodecahedron's (5, 5)),
+and rows whose dart model is asked for.
 
 The walk is a breadth-first closure from the identity under right
 multiplication by the generators, which numbers the elements in discovery
@@ -47,6 +45,7 @@ from .catalog import TilingClass, classify_pq
 from .errors import CapExceeded, InvariantViolation, MixedRings, NonInvertibleGenerator
 from .mat3 import Mat3
 from .rings import _cyclic_counts, _factor
+from .universal import GeneratorSet, PolyhedronParams, invariant_form
 
 CLOSURE_CAP_DEFAULT = 10**6
 
@@ -348,7 +347,7 @@ def _trace_order(ring, t: int, q: int, factors: dict[int, dict[int, int]]) -> in
     return n
 
 
-def screened_to_walk(ring, t_v: int, t_f: int) -> bool:
+def _screened_to_walk(ring, t_v: int, t_f: int) -> bool:
     """Whether a row with det B != 0 and traces (t_v, t_f) of rho_v and rho_f must walk.
 
     In SO(3, B), odd characteristic, g != I has order 2, 3, 4 or 5 exactly
@@ -360,7 +359,7 @@ def screened_to_walk(ring, t_v: int, t_f: int) -> bool:
     (p, q) = (5, 5) with t_v != t_f: the two roots of t^2 - t - 1, the great
     dodecahedron {5, 5/2}, which gives A5.  A (5, 5) row with t_v = t_f
     generates PSL(2, q'), as does every row with an infinite (2, p, q), so
-    it has a closed form.  Over other rings it is not read.
+    it has a closed form.
     """
     zero, one = ring._from_int(0), ring._from_int(1)
     p, q = (3 if t == zero else 4 if t == one else
@@ -370,77 +369,33 @@ def screened_to_walk(ring, t_v: int, t_f: int) -> bool:
                               or p == q == 5 and t_v != t_f)
 
 
-def _frobenius_orbit(ring, traces: tuple[int, int]) -> list[tuple[int, int]]:
-    """The images of (t_v, t_f) under u -> u^p, p the characteristic, until it comes back.
+def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE_CAP_DEFAULT
+                ) -> tuple[GroupFingerprint, int, int, tuple[int, int]] | None:
+    """Fingerprint, p, q and dedupe key of <rho_v, rho_e, rho_f> with no walk, or None.
 
-    Its length d gives q' = p^d, the order of the subfield the traces
-    generate, and its least pair is a row's dedupe key.
-    """
-    orbit = [traces]
-    while (image := tuple(ring._pow(t, ring.modulus) for t in orbit[-1])) != traces:
-        orbit.append(image)
-    return orbit
+    ``gens`` are the rotations of ``params``.  None means the row must walk:
+    the ring is not a field of odd characteristic P, or the row has det B != 0
+    and ``_screened_to_walk`` keeps it.  Every other row is answered from x, y
+    and the traces (t_v, t_f) of rho_v and rho_f.  q' = P^d for the length d
+    of the Frobenius orbit of (t_v, t_f), so F_q' = F_P(t_v, t_f), and the key
+    is the orbit's least pair, equal for two rows of one ring and fingerprint
+    exactly when their maps are.
 
+    det B != 0 (x, y != +-1): G is PSL(2, q') or PGL(2, q') (Macbeath 1969).
+    It is PSL exactly when t_v + 1 and t_f + 1 are both squares in F_q', and
+    |G| = q'(q'^2 - 1)/e, e = 2 for PSL and 1 for PGL.  Its elements: the
+    identity, q'^2 - 1 of order P, and phi(n) q'(q' +- 1)/2 of order n for
+    each n > 1 dividing (q' -+ 1)/e; the center is 1.  p, q and the spectrum
+    are read from one ``_factor`` each of q' -+ 1.  Raises InvariantViolation
+    unless g^T B g = B and det g = 1 for each generator, B the form of
+    ``universal.invariant_form``.
 
-def linear_fractional_group(gens: Sequence[Mat3], form: Mat3, traces: tuple[int, int],
-                            cap: int = CLOSURE_CAP_DEFAULT
-                            ) -> tuple[GroupFingerprint, int, int, tuple[int, int]]:
-    """Fingerprint, p, q and dedupe key of <rho_v, rho_e, rho_f>, from two traces.
-
-    ``form`` is the rotations' B (det B != 0, odd characteristic p) and
-    ``traces`` (t_v, t_f) a row that ``screened_to_walk`` lets through, so
-    the group is PSL(2, q') or PGL(2, q') (Macbeath 1969) with q' = p^d for
-    the least d with t^(p^d) = t for both traces.  It is PSL exactly when
-    t_v + 1 and t_f + 1 are both squares in F_q', and |G| = q'(q'^2 - 1)/e,
-    e = 2 for PSL and 1 for PGL.  Its elements: the identity, q'^2 - 1 of
-    order p, and phi(n) q'(q' +- 1)/2 of order n for each n > 1 dividing
-    (q' -+ 1)/e; the center is 1.  p, q and the spectrum are read from one
-    ``_factor`` each of q' -+ 1.  The key is the least Frobenius image of
-    (t_v, t_f), equal for two rows of one ring exactly when their maps are.
-
-    Raises InvariantViolation unless g^T B g = B and det g = 1 for each
-    generator, and CapExceeded(cap), as the walk would, when |G| > cap.
-    """
-    ring = form.ring
-    b, rows_mul, one = form.vals, ring._rows_mul, ring._from_int(1)
-    form_rows = [b[0:3], b[3:6], b[6:9]]
-    for g in gens:
-        v = g.vals
-        # the rows of g^T are the columns of g
-        if rows_mul(rows_mul((v[0::3], v[1::3], v[2::3]), b), v) != form_rows \
-                or g.det().val != one:
-            raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
-    char = ring.modulus
-    orbit = _frobenius_orbit(ring, traces)
-    qp = char ** len(orbit)  # q'
-    e = 2 if all(ring._pow(ring._add(t, one), (qp - 1) // 2) == one for t in traces) else 1
-    order = qp * (qp * qp - 1) // e
-    if order > cap:
-        raise CapExceeded(cap)
-    counts = Counter({1: 1, char: qp * qp - 1})
-    factors = {n: _factor(n) for n in (qp - 1, qp + 1)}
-    for n, size in ((qp - 1, qp * (qp + 1) // 2), (qp + 1, qp * (qp - 1) // 2)):
-        # q' is odd, so dividing n by e lowers the exponent of 2 by e - 1
-        for d, phi in _cyclic_counts({**factors[n], 2: factors[n][2] + 1 - e})[1:]:
-            counts[d] += phi * size
-    fp = GroupFingerprint(order, tuple(sorted(counts.items())), False, 1)
-    return fp, *(_trace_order(ring, t, qp, factors) for t in traces), min(orbit)
-
-
-def translation_point_group(ring, x: int, y: int, traces: tuple[int, int],
-                            cap: int = CLOSURE_CAP_DEFAULT
-                            ) -> tuple[GroupFingerprint, int, int, tuple[int, int]] | None:
-    """Fingerprint, p, q and dedupe key of a row with det B = 0, or None for any other row.
-
-    Over a field of odd characteristic P, B (``invariant_form``) has det B = 0
-    exactly when x or y is +-1; x and y are codes and ``traces`` is (t_v, t_f).
-    (This is not the report's ``degenerate`` flag: these maps are not
-    degenerate.)  G preserves the radical of B (a line, a plane, or all of
-    F^3 at x = 1, y = -1, where B = 0), and G = T : H: T is the normal
+    det B = 0 (x or y = +-1; not the report's ``degenerate`` flag: these maps
+    are not degenerate): G preserves the radical of B (a line, a plane, or all
+    of F^3 at x = 1, y = -1, where B = 0), and G = T : H: T is the normal
     subgroup of unipotent elements, a P-group of exponent P (translations),
-    and H, the point group, has order prime to P.  With q' = |F_P(t)| for t
-    whichever of x, y is not +-1 (the length of ``_frobenius_orbit``, since
-    F_P(t) = F_P(t_v, t_f)):
+    and H, the point group, has order prime to P (F_q' = F_P(t) for t
+    whichever of x, y is not +-1):
 
     - x = 1, y != +-1: H = D_p, p the order of rho_v, |T| = q'^2, q = 2P;
       y = 1, x != +-1 is the dual, H = D_q, p = 2P;
@@ -463,19 +418,62 @@ def translation_point_group(ring, x: int, y: int, traces: tuple[int, int],
     involution of the C_2 and C_2 x C_2 cases fixes P.  No h != 1
     centralizes T, so the center lies in T and is C_T(H): P when H = C_2
     and |T| = P^2, else 1 (at x = y = 1 the three involutions fix no
-    common element; measured).  The key is the least Frobenius image of
-    (t_v, t_f), as in ``linear_fractional_group``: t_f = 1 - 2x and
-    t_v = (1 + x)(1 - y) - 1 fix (x, y) when x != -1, and the x = -1 rows of
-    one fingerprint are one map.
+    common element; measured).  t_f = 1 - 2x and t_v = (1 + x)(1 - y) - 1
+    fix (x, y) when x != -1, and the x = -1 rows of one fingerprint are one
+    map, so the key splits these rows as their maps do.
 
-    Raises CapExceeded(cap), as the walk would, when |G| > cap.
+    Raises CapExceeded(cap), as the walk would, when |G| > cap; for PSL and
+    PGL before any factorization.
     """
-    one, minus_one = ring._from_int(1), ring._from_int(-1)
-    if not ring.is_field or ring.cardinality % 2 == 0 or not {x, y} & {one, minus_one}:
+    ring = gens.ring
+    if not ring.is_field or ring.cardinality % 2 == 0:
         return None
+    add, one, minus_one = ring._add, ring._from_int(1), ring._from_int(-1)
+    traces = tuple(add(add(g.vals[0], g.vals[4]), g.vals[8]) for g in (gens.rho_v, gens.rho_f))
+    x, y = params.x.val, params.y.val
+    flat = bool({x, y} & {one, minus_one})  # det B = 0
+    if not flat:
+        if _screened_to_walk(ring, *traces):
+            return None
+        form = invariant_form(params)
+        b, rows_mul = form.vals, ring._rows_mul
+        form_rows = [b[0:3], b[3:6], b[6:9]]
+        for g in (gens.rho_v, gens.rho_e, gens.rho_f):
+            v = g.vals
+            # the rows of g^T are the columns of g
+            if rows_mul(rows_mul((v[0::3], v[1::3], v[2::3]), b), v) != form_rows \
+                    or g.det().val != one:
+                raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
     char = ring.modulus
-    orbit = _frobenius_orbit(ring, traces)
+    orbit = [traces]
+    while (image := tuple(ring._pow(t, char) for t in orbit[-1])) != traces:
+        orbit.append(image)
     qp = char ** len(orbit)  # q'
+    order, counts, center, p, q = (_translation_point_group(ring, x, y, traces, qp, cap) if flat
+                                   else _linear_fractional_group(ring, traces, qp, cap))
+    spectrum = tuple(sorted((d, c) for d, c in counts.items() if c))
+    return GroupFingerprint(order, spectrum, False, center), p, q, min(orbit)
+
+
+def _linear_fractional_group(ring, traces: tuple[int, int], qp: int, cap: int):
+    """|G|, element-order counts, center, p and q of a ``closed_form`` row with det B != 0."""
+    char, one = ring.modulus, ring._from_int(1)
+    e = 2 if all(ring._pow(ring._add(t, one), (qp - 1) // 2) == one for t in traces) else 1
+    order = qp * (qp * qp - 1) // e
+    if order > cap:
+        raise CapExceeded(cap)
+    counts = Counter({1: 1, char: qp * qp - 1})
+    factors = {n: _factor(n) for n in (qp - 1, qp + 1)}
+    for n, size in ((qp - 1, qp * (qp + 1) // 2), (qp + 1, qp * (qp - 1) // 2)):
+        # q' is odd, so dividing n by e lowers the exponent of 2 by e - 1
+        for d, phi in _cyclic_counts({**factors[n], 2: factors[n][2] + 1 - e})[1:]:
+            counts[d] += phi * size
+    return order, counts, 1, *(_trace_order(ring, t, qp, factors) for t in traces)
+
+
+def _translation_point_group(ring, x: int, y: int, traces: tuple[int, int], qp: int, cap: int):
+    """|G|, element-order counts, center, p and q of a ``closed_form`` row with det B = 0."""
+    char, one, minus_one = ring.modulus, ring._from_int(1), ring._from_int(-1)
     # |T|, the elements h != 1 of H as (order, how many, |C_T(h)|), the center, p, q
     if x == minus_one and y == one:
         t_size, point, center, p, q = char, [(2, 1, 1)], 1, 2, char
@@ -500,8 +498,7 @@ def translation_point_group(ring, x: int, y: int, traces: tuple[int, int],
     for m, k, fix in point:
         counts[m] += k * t_size // fix
         counts[m * char] += k * (t_size - t_size // fix)
-    spectrum = tuple(sorted((d, c) for d, c in counts.items() if c))
-    return GroupFingerprint(order, spectrum, False, center), p, q, min(orbit)
+    return order, counts, center, p, q
 
 
 # ---------------------------------------------------------------------------

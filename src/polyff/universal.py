@@ -98,12 +98,6 @@ def make_rhos(params: PolyhedronParams) -> tuple[Mat3, Mat3, Mat3]:
     return rv, re, rf
 
 
-def rotation_traces(gens: GeneratorSet) -> tuple[int, int]:
-    """The traces (t_v, t_f) of rho_v and rho_f, as ring codes."""
-    add = gens.ring._add
-    return tuple(add(add(g.vals[0], g.vals[4]), g.vals[8]) for g in (gens.rho_v, gens.rho_f))
-
-
 def invariant_form(params: PolyhedronParams) -> Mat3 | None:
     """The symmetric form B with g^T B g = B for each rotation g, or None.
 

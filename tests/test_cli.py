@@ -186,6 +186,19 @@ def test_darts_flag(capsys):
     assert report["darts"].startswith("darts 6\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--ring", "zmod:29", "--x", "2", "--y", "3"),
+    ("specialize", "--solid", "cube", "--ring", "gf:5"),
+    ("grid", "--family", "square", "--n", "4"),
+])
+def test_darts_refused_in_csv(capsys, monkeypatch, argv):
+    # csv prints only the scan columns, so the darts would be dropped: refuse before any walk
+    monkeypatch.setattr(cli, "generate", lambda *args, **kwargs: pytest.fail("walked"))
+    code, out, err = run(capsys, *argv, "--darts", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "polyff: --darts needs --format json or text: csv prints only the scan columns\n"
+
+
 def test_darts_above_former_retention_bound(capsys):
     code, out, _ = run(capsys, "analyze", "--ring", "zmod:29", "--x", "2", "--y", "3",
                        "--darts")

@@ -20,19 +20,17 @@ from polyff.groupgen import (
     RECOGNITION_TABLE,
     GeneratedGroup,
     GroupFingerprint,
+    closed_form,
     dihedral_spectrum,
     generate,
-    linear_fractional_group,
     order_spectrum,
     recognize,
-    screened_to_walk,
-    translation_point_group,
 )
 from polyff.mat3 import Mat3
 from polyff.regmap import dart_model
-from polyff.rings import GaloisField, RingElem, ZMod, ring_make
+from polyff.rings import GaloisField, ZMod, ring_make
 from polyff.universal import (GeneratorSet, PolyhedronParams, invariant_form, make_rhos,
-                              make_sigmas, rotation_traces)
+                              make_sigmas)
 
 from oracles import (
     TupleField,
@@ -284,51 +282,42 @@ def walked():
 DIFFERENTIAL_RINGS = ["gf:3", "gf:5", "gf:7", "gf:11", "gf:13", "gf:3^2", "gf:5^2", "zmod:7"]
 
 
-@pytest.mark.parametrize("spec", ["zmod:7", "gf:5", "gf:7", "gf:3^2", "gf:11", "gf:13", "gf:5^2"])
-def test_trace_spectrum_matches_class_spectrum(spec, walked):
-    # the closed form (PSL(2, q') or PGL(2, q') from the traces) against the
-    # walk and its class-path spectrum, on every row with an invariant form:
-    # order, p, q, V/E/F, genus, fingerprint
-    ring = ring_make(spec)
-    closed = 0
-    for (x, y), (walk, _) in walked(spec).items():
-        params = PolyhedronParams(x, y)
-        if invariant_form(params) is None:
-            continue
-        # no rotation has order 2 (trace -1 needs x or y = +-1), and a row
-        # walks exactly when its group is a quotient of a spherical triangle
-        # group, or A5 at (5, 5) (the great dodecahedron); the other (5, 5)
-        # rows are PSL(2, 9) over gf:3^2 and PSL(2, 11) over gf:11
-        p, q = walk.p, walk.q
-        assert 2 not in (p, q), (spec, x, y)
-        walks = classify_pq(p, q) is TilingClass.SPHERICAL or walk.recognized == "A5"
-        traces = rotation_traces(GeneratorSet.from_params(params))
-        assert walks == screened_to_walk(ring, *traces), (spec, x, y, p, q)
-        report, _, key = _row(params, CLOSURE_CAP_DEFAULT)
-        assert walks == (key is None), (spec, x, y, p, q)
-        if walks:
-            continue
-        closed += 1
-        assert report == walk, (spec, x, y)
-    assert closed >= ring.cardinality
+def _closed_form(params: PolyhedronParams, cap: int = CLOSURE_CAP_DEFAULT):
+    return closed_form(params, GeneratorSet.from_params(params), cap)
+
+
+def _det_b_zero(x, y) -> bool:
+    return bool({x, y} & {x.ring.one, -x.ring.one})
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_RINGS)
-def test_translation_point_group_matches_the_walk(spec, walked):
-    # the det B = 0 closed form claims exactly the rows with x or y = +-1 (no
-    # invariant form over an odd field), and each of its answers is the walk's
+def test_trace_spectrum_matches_class_spectrum(spec, walked):
+    # the closed form against the walk and its class-path spectrum on every
+    # row: it answers every row with x or y = +-1 (det B = 0), and declines a
+    # row with an invariant form exactly when its group is a quotient of a
+    # spherical triangle group (2, p, q), or A5 at (5, 5) (the great
+    # dodecahedron; the other (5, 5) rows are PSL(2, 9) over gf:3^2 and
+    # PSL(2, 11) over gf:11); each answer is the walk's report: order, p, q,
+    # V/E/F, genus, fingerprint
     ring = ring_make(spec)
-    claimed = 0
+    flat = psl = 0
     for (x, y), (walk, _) in walked(spec).items():
         params = PolyhedronParams(x, y)
-        traces = rotation_traces(GeneratorSet.from_params(params))
-        answer = translation_point_group(ring, x.val, y.val, traces)
-        assert (answer is None) == (invariant_form(params) is not None), (spec, x, y)
-        if answer is None:
-            continue
-        claimed += 1
-        assert _row(params, CLOSURE_CAP_DEFAULT)[0] == walk, (spec, x, y)
-    assert claimed == 4 * ring.cardinality - 4
+        if _det_b_zero(x, y):
+            walks = False
+            flat += 1
+        else:
+            # no rotation has order 2: trace -1 needs x or y = +-1
+            assert 2 not in (walk.p, walk.q), (spec, x, y)
+            walks = (classify_pq(walk.p, walk.q) is TilingClass.SPHERICAL
+                     or walk.recognized == "A5")
+            psl += not walks
+        answer = _closed_form(params)
+        assert (answer is None) == walks, (spec, x, y, walk.p, walk.q)
+        if not walks:
+            assert _row(params, CLOSURE_CAP_DEFAULT) == (walk, None, answer[3]), (spec, x, y)
+    assert flat == 4 * ring.cardinality - 4
+    assert psl >= ring.cardinality or spec == "gf:3"  # gf:3's one row with a form is S4
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_RINGS)
@@ -364,50 +353,47 @@ def test_closed_form_keys_split_rows_as_the_dart_keys_do(spec, walked):
                                           "classes": [classes[k] for k in sorted(classes)]}
 
 
-def test_translation_point_group_caps_as_the_walk_does():
-    # |G| > cap raises CapExceeded(cap) at once, exactly where the walk would
-    ring = ring_make("gf:5")
-    for x, y in itertools.product(ring.elements(), repeat=2):
-        gens = GeneratorSet.from_params(PolyhedronParams(x, y))
-        rhos, traces = [gens.rho_v, gens.rho_e, gens.rho_f], rotation_traces(gens)
-        if translation_point_group(ring, x.val, y.val, traces) is None:
-            continue
-        order = generate(rhos).order
-        assert translation_point_group(ring, x.val, y.val, traces, order)[0].order == order
-        for attempt in (lambda: translation_point_group(ring, x.val, y.val, traces, order - 1),
-                        lambda: generate(rhos, cap=order - 1)):
-            with pytest.raises(CapExceeded) as info:
-                attempt()
-            assert info.value.cap == order - 1
+def test_closed_form_caps_as_the_walk_does(walked):
+    # |G| > cap raises CapExceeded(cap) at once, exactly where the walk would,
+    # for rows with det B = 0 and for PSL(2, q') and PGL(2, q') rows
+    for spec in ("gf:5", "gf:7"):
+        kinds = set()
+        for (x, y), (walk, _) in walked(spec).items():
+            params = PolyhedronParams(x, y)
+            if _closed_form(params) is None:
+                continue
+            kinds.add(_det_b_zero(x, y))
+            order = walk.group_order
+            assert _closed_form(params, order)[0].order == order
+            rhos = list(make_rhos(params))
+            for attempt in (lambda: _closed_form(params, order - 1),
+                            lambda: generate(rhos, cap=order - 1)):
+                with pytest.raises(CapExceeded) as info:
+                    attempt()
+                assert info.value.cap == order - 1, (spec, x, y)
+        assert kinds == {False, True}, spec
 
 
-def test_translation_point_group_declines_other_rings():
-    # characteristic 2 and composite moduli have no such closed form: their rows walk
-    for spec in ("gf:2^3", "zmod:9", "zmod:15"):
+def test_closed_form_declines_other_rings():
+    # characteristic 2 and composite moduli have no closed form: every row walks
+    for spec in ("gf:2^2", "gf:2^3", "zmod:9", "zmod:15"):
         ring = ring_make(spec)
-        one = ring._from_int(1)
-        for x, y in ((one, one), (one, ring._from_int(0)), (ring._from_int(-1), one)):
-            traces = rotation_traces(GeneratorSet.from_params(
-                PolyhedronParams(RingElem(ring, x), RingElem(ring, y))))
-            assert translation_point_group(ring, x, y, traces) is None, (spec, x, y)
+        for x, y in itertools.product(ring.elements(), repeat=2):
+            assert _closed_form(PolyhedronParams(x, y)) is None, (spec, x, y)
 
 
 def test_certified_order_must_divide_pgl2_order():
-    # fields too large to walk every row: each closed-form group lies in
-    # SO(3, B) = PGL(2, q), its spectrum counts |G| elements, and its orders
-    # divide |G|, including p and q
+    # fields too large to walk every row: each closed-form group with det B != 0
+    # lies in SO(3, B) = PGL(2, q), its spectrum counts |G| elements, and its
+    # orders divide |G|, including p and q
     for spec in ("gf:3^3", "gf:3^4", "gf:5^3", "gf:7^2"):
         ring = ring_make(spec)
         q = ring.cardinality
         for x, y in itertools.islice(itertools.product(ring.elements(), repeat=2), 0, None, 31):
-            params = PolyhedronParams(x, y)
-            gens = GeneratorSet.from_params(params)
-            traces = rotation_traces(gens)
-            form = invariant_form(params)
-            if form is None or screened_to_walk(ring, *traces):
+            answer = None if _det_b_zero(x, y) else _closed_form(PolyhedronParams(x, y), q ** 3)
+            if answer is None:
                 continue
-            fp, p, q_f, _ = linear_fractional_group([gens.rho_v, gens.rho_e, gens.rho_f],
-                                                    form, traces, q ** 3)
+            fp, p, q_f, _ = answer
             assert q * (q * q - 1) % fp.order == 0, (spec, x, y)
             assert sum(c for _, c in fp.spectrum) == fp.order
             assert all(fp.order % d == 0 for d, _ in fp.spectrum)
@@ -430,17 +416,18 @@ def test_group_at_the_dickson_bound_keeps_the_class_path():
 
 
 def test_form_not_preserved_raises():
-    # the closed form certifies each rotation in SO(3, B) before it reads the traces
+    # the closed form certifies each rotation in SO(3, B), for the B of its
+    # (x, y), before it answers
     ring = ring_make("zmod:7")
     params = PolyhedronParams(ring.elem(2), ring.elem(3))
-    gens = GeneratorSet.from_params(params)
-    rhos, traces = [gens.rho_v, gens.rho_e, gens.rho_f], rotation_traces(gens)
+    # the rotations of another (x, y) do not preserve this B
+    other = GeneratorSet.from_params(PolyhedronParams(ring.elem(3), ring.elem(2)))
     with pytest.raises(InvariantViolation, match="not in SO"):
-        linear_fractional_group(rhos, Mat3.identity(ring), traces)
+        closed_form(params, other)
     # the reflections preserve the form, but their determinant is -1
     with pytest.raises(InvariantViolation, match="not in SO"):
-        linear_fractional_group(list(make_sigmas(params)), invariant_form(params), traces)
-    fp, p, q, _ = linear_fractional_group(rhos, invariant_form(params), traces)
+        closed_form(params, GeneratorSet(ring, *make_sigmas(params)))
+    fp, p, q, _ = _closed_form(params)
     assert (fp.order, p, q) == (336, 3, 8)  # PGL(2, 7)
 
 
