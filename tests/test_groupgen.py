@@ -293,31 +293,47 @@ def _det_b_zero(x, y) -> bool:
 @pytest.mark.parametrize("spec", DIFFERENTIAL_RINGS)
 def test_trace_spectrum_matches_class_spectrum(spec, walked):
     # the closed form against the walk and its class-path spectrum on every
-    # row: it answers every row with x or y = +-1 (det B = 0), and declines a
-    # row with an invariant form exactly when its group is a quotient of a
-    # spherical triangle group (2, p, q), or A5 at (5, 5) (the great
-    # dodecahedron; the other (5, 5) rows are PSL(2, 9) over gf:3^2 and
-    # PSL(2, 11) over gf:11); each answer is the walk's report: order, p, q,
-    # V/E/F, genus, fingerprint
+    # row with an invariant form: it declines such a row exactly when its
+    # group is a quotient of a spherical triangle group (2, p, q), or A5 at
+    # (5, 5) (the great dodecahedron; the other (5, 5) rows are PSL(2, 9) over
+    # gf:3^2 and PSL(2, 11) over gf:11); each answer is the walk's report:
+    # order, p, q, V/E/F, genus, fingerprint
     ring = ring_make(spec)
-    flat = psl = 0
+    psl = 0
     for (x, y), (walk, _) in walked(spec).items():
         params = PolyhedronParams(x, y)
-        if _det_b_zero(x, y):
-            walks = False
-            flat += 1
-        else:
-            # no rotation has order 2: trace -1 needs x or y = +-1
-            assert 2 not in (walk.p, walk.q), (spec, x, y)
-            walks = (classify_pq(walk.p, walk.q) is TilingClass.SPHERICAL
-                     or walk.recognized == "A5")
-            psl += not walks
+        if invariant_form(params) is None:
+            continue
+        # no rotation has order 2: trace -1 needs x or y = +-1
+        assert 2 not in (walk.p, walk.q), (spec, x, y)
+        walks = (classify_pq(walk.p, walk.q) is TilingClass.SPHERICAL
+                 or walk.recognized == "A5")
         answer = _closed_form(params)
         assert (answer is None) == walks, (spec, x, y, walk.p, walk.q)
-        if not walks:
-            assert _row(params, CLOSURE_CAP_DEFAULT) == (walk, None, answer[3]), (spec, x, y)
-    assert flat == 4 * ring.cardinality - 4
+        if walks:
+            continue
+        psl += 1
+        assert _row(params, CLOSURE_CAP_DEFAULT) == (walk, None, answer[3]), (spec, x, y)
     assert psl >= ring.cardinality or spec == "gf:3"  # gf:3's one row with a form is S4
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_RINGS)
+def test_translation_point_group_matches_the_walk(spec, walked):
+    # the closed form answers every row with x or y = +-1 (det B = 0), which
+    # over an odd field are exactly the rows with no invariant form, and each
+    # of those answers is the walk's report
+    ring = ring_make(spec)
+    flat = 0
+    for (x, y), (walk, _) in walked(spec).items():
+        params = PolyhedronParams(x, y)
+        assert _det_b_zero(x, y) == (invariant_form(params) is None), (spec, x, y)
+        if not _det_b_zero(x, y):
+            continue
+        flat += 1
+        answer = _closed_form(params)
+        assert answer is not None, (spec, x, y)
+        assert _row(params, CLOSURE_CAP_DEFAULT) == (walk, None, answer[3]), (spec, x, y)
+    assert flat == 4 * ring.cardinality - 4
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_RINGS)
