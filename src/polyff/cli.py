@@ -49,10 +49,11 @@ def run_pipeline(params: PolyhedronParams,
 def _row(params: PolyhedronParams, cap: int, walk: bool = False):
     """One row's (report, walked group or None, closed-form dedupe key or None).
 
-    A row that ``closed_form`` answers (over a field of odd order, every
-    row but those its trace screen keeps) skips the walk; every other row
-    walks.  With ``walk``, a closed-form row walks too, and the walk's |G|,
-    p and q must agree.
+    A row that ``closed_form`` answers (over a field: in characteristic 2
+    every row, in odd characteristic every row but those its trace screen
+    keeps) skips the walk; every other row walks.  With ``walk``, a
+    closed-form row walks too, and the walk's |G|, p, e_order and q must
+    agree.
     """
     gens = GeneratorSet.from_params(params)
     rhos = [gens.rho_v, gens.rho_e, gens.rho_f]
@@ -60,8 +61,8 @@ def _row(params: PolyhedronParams, cap: int, walk: bool = False):
     if answer is None:
         group = generate(rhos, cap=cap)
         return analyze(group), group, None
-    fp, p, q, key = answer
-    report = _map_report(fp.order, p, 2, q, fp)  # rho_e has order 2 in odd characteristic
+    fp, p, e_order, q, key = answer
+    report = _map_report(fp.order, p, e_order, q, fp)
     if not walk:
         return report, None, key
     group = generate(rhos, cap=cap)
@@ -203,12 +204,13 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
 
     With ``exact``, the key is equal for two rows of one fingerprint exactly
     when their maps are equivalent: a closed-form row's key from
-    ``closed_form``, the least Frobenius image of (t_v, t_f) (tests check it
-    against the dart keys), or the bytes of a walked row's three dart
-    permutations.  ``generate`` numbers the darts by a breadth-first walk
-    from dart 0 (``dart_model`` rejects any other numbering).  The actions
-    are regular, so a conjugating bijection may be taken to fix dart 0, and
-    along the walk it fixes all.
+    ``closed_form``, the least Frobenius image of (t_v, t_f) or, in
+    characteristic 2, (e_order, q) (tests check it against the dart keys),
+    or the bytes of a walked row's three dart permutations.  ``generate``
+    numbers the darts by a breadth-first walk from dart 0 (``dart_model``
+    rejects any other numbering).  The actions are regular, so a
+    conjugating bijection may be taken to fix dart 0, and along the walk it
+    fixes all.
     """
     params = PolyhedronParams(x, y)
     try:

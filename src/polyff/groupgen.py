@@ -2,7 +2,7 @@
 
 Over a field of odd characteristic p, every rotation group preserves the
 symmetric form B of ``universal.invariant_form``, with
-det B = -(x - 1)^2 (x + 1)(y - 1)(y + 1)^2.  ``closed_form`` answers two
+det B = -(x - 1)^2 (x + 1)(y - 1)(y + 1)^2.  ``closed_form`` answers three
 kinds of row with no walk, from x, y and the traces of rho_v and rho_f:
 
 - det B != 0: the group is a subgroup of SO(3, B) = PGL(2, q).  By
@@ -14,11 +14,13 @@ kinds of row with no walk, from x, y and the traces of rho_v and rho_f:
   group fixes the radical of B and is a group of translations extended by
   a cyclic or dihedral point group, the finite analogue of a Euclidean
   torus map at y = -1.
+- characteristic 2 (zmod:2 and gf:2^k): sigma0 = I, so rho_e and rho_f are
+  two involutions (or I) and the group is dihedral, C2 or trivial.
 
-Every other row walks: rows over composite moduli or in characteristic 2,
-rows that ``closed_form``'s trace screen keeps ((p, q) spherical in the
-trichotomy of ``catalog.classify_pq``, or the great dodecahedron's (5, 5)),
-and rows whose dart model is asked for.
+Every other row walks: rows over composite moduli, rows that
+``closed_form``'s trace screen keeps ((p, q) spherical in the trichotomy of
+``catalog.classify_pq``, or the great dodecahedron's (5, 5)), and rows whose
+dart model is asked for.
 
 The walk is a breadth-first closure from the identity under right
 multiplication by the generators, which numbers the elements in discovery
@@ -335,7 +337,10 @@ def _trace_order(ring, t: int, q: int, factors: dict[int, dict[int, int]]) -> in
     and n = q + 1 otherwise.  lam^n = 1 exactly when V_n(s) = 2, and the
     least such n is found by dividing out the primes of ``factors[n]``.
     A rotation of a det B = 0 row with eigenvalues 1, lam, 1/lam and
-    lam != +-1 is diagonalizable too, so the same n is its order.
+    lam != +-1 is diagonalizable too, so the same n is its order.  So is
+    rho_v in characteristic 2 when s != 0, where 2 = 0 and q -+ 1 are odd:
+    ord(lam) is odd, and V_n(s) = 0 exactly when lam^(2n) = 1, that is
+    lam^n = 1.
     """
     if t == ring._from_int(3):
         return ring.modulus
@@ -370,16 +375,18 @@ def _screened_to_walk(ring, t_v: int, t_f: int) -> bool:
 
 
 def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE_CAP_DEFAULT
-                ) -> tuple[GroupFingerprint, int, int, tuple[int, int]] | None:
-    """Fingerprint, p, q and dedupe key of <rho_v, rho_e, rho_f> with no walk, or None.
+                ) -> tuple[GroupFingerprint, int, int, int, tuple[int, int]] | None:
+    """Fingerprint, p, e_order, q and dedupe key of <rho_v, rho_e, rho_f> with no walk, or None.
 
-    ``gens`` are the rotations of ``params``.  None means the row must walk:
-    the ring is not a field of odd characteristic P, or the row has det B != 0
-    and ``_screened_to_walk`` keeps it.  Every other row is answered from x, y
-    and the traces (t_v, t_f) of rho_v and rho_f.  q' = P^d for the length d
-    of the Frobenius orbit of (t_v, t_f), so F_q' = F_P(t_v, t_f), and the key
-    is the orbit's least pair, equal for two rows of one ring and fingerprint
-    exactly when their maps are.
+    p, e_order and q are the orders of rho_v, rho_e and rho_f.  ``gens`` are
+    the rotations of ``params``.  None means the row must walk: the ring is
+    not a field, or the row has odd characteristic P, det B != 0 and
+    ``_screened_to_walk`` keeps it.  Every other row is answered from x, y and
+    the traces (t_v, t_f) of rho_v and rho_f.  q' = P^d for the length d of
+    the Frobenius orbit of (t_v, t_f), so F_q' = F_P(t_v, t_f).  The key is
+    equal for two rows of one ring and fingerprint exactly when their maps
+    are: in odd characteristic the orbit's least pair, in characteristic 2
+    (e_order, q).  The group is abelian exactly when its center is all of it.
 
     det B != 0 (x, y != +-1): G is PSL(2, q') or PGL(2, q') (Macbeath 1969).
     It is PSL exactly when t_v + 1 and t_f + 1 are both squares in F_q', and
@@ -422,21 +429,52 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
     fix (x, y) when x != -1, and the x = -1 rows of one fingerprint are one
     map, so the key splits these rows as their maps do.
 
+    Characteristic 2 (P = 2, so -1 = 1 and 2 = 0): sigma0 = I, so rho_e =
+    sigma2 and rho_f = sigma1 are transvections or I, rho_e^2 = rho_f^2 = I,
+    and rho_v = rho_f rho_e.  Two involutions generate the dihedral group
+    whose order is twice that of their product (Coxeter & Moser, *Generators
+    and Relations for Discrete Groups*, section 1.5):
+
+    - x, y != 1: t_f = 1 and s = t_v - 1 = (1 + x)(1 + y) != 0.  rho_v has
+      the eigenvalues 1, lam and 1/lam with lam + 1/lam = s, so lam != 1, and
+      these three are distinct (lam^2 = 1 means lam = 1), so rho_v is
+      diagonalizable of order p = ord(lam).  p divides q' -+ 1 and is odd
+      and at least 3, and ``_trace_order`` finds it: V_0 = 2 = 0, and
+      V_n(s) = 0 exactly when lam^(2n) = 1, that is lam^n = 1.  G = D_p:
+      |G| = 2p, q = e_order = 2, spectrum ``dihedral_spectrum(p)``, center 1;
+    - x = 1 (rho_f = I, so rho_v = rho_e), y != 1: G = C2, (p, e_order, q)
+      = (2, 2, 1); y = 1 (rho_e = I, so rho_v = rho_f), x != 1: G = C2,
+      (2, 1, 2); x = y = 1: G = 1, (1, 1, 1).
+
+    D_p acts on the pairs (rho_v, rho_f) of a rotation of order p and a
+    reflection transitively through its automorphisms, so the rows of one
+    fingerprint are one map but for the two C2 kinds, which (e_order, q)
+    splits.  Raises InvariantViolation unless rho_e^2 = rho_f^2 = I and
+    rho_v = rho_f rho_e.
+
     Raises CapExceeded(cap), as the walk would, when |G| > cap; for PSL and
     PGL before any factorization.
     """
     ring = gens.ring
-    if not ring.is_field or ring.cardinality % 2 == 0:
+    if not ring.is_field:
         return None
     add, one, minus_one = ring._add, ring._from_int(1), ring._from_int(-1)
     traces = tuple(add(add(g.vals[0], g.vals[4]), g.vals[8]) for g in (gens.rho_v, gens.rho_f))
     x, y = params.x.val, params.y.val
+    char, rows_mul = ring.modulus, ring._rows_mul
     flat = bool({x, y} & {one, minus_one})  # det B = 0
-    if not flat:
+    if char == 2:
+        i, v, e, f = ([m[0:3], m[3:6], m[6:9]] for m in (
+            Mat3.identity(ring).vals, gens.rho_v.vals, gens.rho_e.vals, gens.rho_f.vals))
+        # rho_e^2 = rho_f^2 = I and rho_v = rho_f rho_e
+        if [rows_mul(e, gens.rho_e.vals), rows_mul(f, gens.rho_f.vals),
+                rows_mul(f, gens.rho_e.vals)] != [i, i, v]:
+            raise InvariantViolation("rho_e and rho_f are not involutions with product rho_v")
+    elif not flat:
         if _screened_to_walk(ring, *traces):
             return None
         form = invariant_form(params)
-        b, rows_mul = form.vals, ring._rows_mul
+        b = form.vals
         form_rows = [b[0:3], b[3:6], b[6:9]]
         for g in (gens.rho_v, gens.rho_e, gens.rho_f):
             v = g.vals
@@ -444,15 +482,36 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
             if rows_mul(rows_mul((v[0::3], v[1::3], v[2::3]), b), v) != form_rows \
                     or g.det().val != one:
                 raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
-    char = ring.modulus
     orbit = [traces]
     while (image := tuple(ring._pow(t, char) for t in orbit[-1])) != traces:
         orbit.append(image)
     qp = char ** len(orbit)  # q'
-    order, counts, center, p, q = (_translation_point_group(ring, x, y, traces, qp, cap) if flat
-                                   else _linear_fractional_group(ring, traces, qp, cap))
+    if char == 2:
+        order, counts, center, p, e_order, q = _dihedral_group(ring, x, y, traces[0], qp, cap)
+        key = e_order, q
+    else:
+        order, counts, center, p, q = (
+            _translation_point_group(ring, x, y, traces, qp, cap) if flat
+            else _linear_fractional_group(ring, traces, qp, cap))
+        e_order, key = 2, min(orbit)
     spectrum = tuple(sorted((d, c) for d, c in counts.items() if c))
-    return GroupFingerprint(order, spectrum, False, center), p, q, min(orbit)
+    return GroupFingerprint(order, spectrum, center == order, center), p, e_order, q, key
+
+
+def _dihedral_group(ring, x: int, y: int, t_v: int, qp: int, cap: int):
+    """|G|, element-order counts, center, p, e_order and q of a characteristic-2 row."""
+    one = ring._from_int(1)
+    if x == one or y == one:
+        q, e_order = 1 if x == one else 2, 1 if y == one else 2
+        p = order = center = max(q, e_order)  # C2, or the trivial group
+        counts = {1: 1, 2: order - 1}
+    else:
+        p = _trace_order(ring, t_v, qp, {n: _factor(n) for n in (qp - 1, qp + 1)})
+        order, center, e_order, q = 2 * p, 1, 2, 2
+        counts = dict(dihedral_spectrum(p))
+    if order > cap:
+        raise CapExceeded(cap)
+    return order, counts, center, p, e_order, q
 
 
 def _linear_fractional_group(ring, traces: tuple[int, int], qp: int, cap: int):

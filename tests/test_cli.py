@@ -303,9 +303,9 @@ def test_scan_rows_run_on_the_calling_thread(capsys, monkeypatch):
     # closed form: no walk, no numbering
     (["analyze", "--ring", "zmod:29", "--x", "2", "--y", "3"], 0),
     (["analyze", "--ring", "zmod:29", "--x", "2", "--y", "3", "--darts"], 1),  # dart_model
-    (["analyze", "--ring", "gf:2^3", "--x", "t", "--y", "t+1"], 1),  # class path
+    (["analyze", "--ring", "gf:3^2", "--x", "0", "--y", "0"], 1),  # S4 walks: class path
     # the class path and dart_model share one sweep of the table
-    (["analyze", "--ring", "gf:2^3", "--x", "t", "--y", "t+1", "--darts"], 1),
+    (["analyze", "--ring", "gf:3^2", "--x", "0", "--y", "0", "--darts"], 1),
     # 3 of the 49 rows walk (the 24 with x or y = +-1 and 22 others have closed
     # forms), and each walked row needs both its spectrum and its dart key
     (["scan", "--ring", "zmod:7", "--exact-dedupe"], 3),

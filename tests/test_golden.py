@@ -24,6 +24,10 @@ report is degenerate, so ``match`` is null), the bad-prime keys of
 over an odd extension field, whose closed-form rows are keyed by their
 traces and the rest by their darts, and the gf:7^2 analysis pins the
 117,600-element group PGL(2, 49), answered in closed form without a walk.
+The gf:2^4 exact scan (``scan-gf16-json-exact``, captured while its rows
+still walked) pins the characteristic-2 closed form: one class per D_p,
+including D17, whose rows have two Frobenius orbits of traces, and the two
+C2 kinds (rho_e or rho_f the identity) as ``#0`` and ``#1``.
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -48,6 +52,7 @@ CASES = {
     "scan-gf8-text": ["scan", "--ring", "gf:2^3", "--format", "text"],
     "scan-gf5-csv": ["scan", "--ring", "gf:5", "--format", "csv"],
     "scan-gf4-json-exact": ["scan", "--ring", "gf:2^2", "--format", "json", "--exact-dedupe"],
+    "scan-gf16-json-exact": ["scan", "--ring", "gf:2^4", "--format", "json", "--exact-dedupe"],
     "scan-zmod7-json-exact": ["scan", "--ring", "zmod:7", "--format", "json", "--exact-dedupe"],
     "analyze-gf9-darts": ["analyze", "--ring", "gf:3^2", "--x", "t", "--y", "t+1", "--darts"],
     "specialize-icosahedron-gf7-ext": ["specialize", "--solid", "icosahedron", "--ring", "gf:7",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -12,6 +13,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from polyff import cli
 from polyff.catalog import TilingClass, classify_pq
 from polyff.cli import SCAN_COLUMNS, _row, main, report_dict, run_pipeline
 from polyff.errors import CapExceeded, InvariantViolation, NonInvertibleGenerator
@@ -280,6 +282,7 @@ def walked():
 
 
 DIFFERENTIAL_RINGS = ["gf:3", "gf:5", "gf:7", "gf:11", "gf:13", "gf:3^2", "gf:5^2", "zmod:7"]
+CHAR_2_RINGS = ["zmod:2", "gf:2", "gf:2^2", "gf:2^3", "gf:2^4"]
 
 
 def _closed_form(params: PolyhedronParams, cap: int = CLOSURE_CAP_DEFAULT):
@@ -313,7 +316,7 @@ def test_trace_spectrum_matches_class_spectrum(spec, walked):
         if walks:
             continue
         psl += 1
-        assert _row(params, CLOSURE_CAP_DEFAULT) == (walk, None, answer[3]), (spec, x, y)
+        assert _row(params, CLOSURE_CAP_DEFAULT) == (walk, None, answer[4]), (spec, x, y)
     assert psl >= ring.cardinality or spec == "gf:3"  # gf:3's one row with a form is S4
 
 
@@ -332,11 +335,11 @@ def test_translation_point_group_matches_the_walk(spec, walked):
         flat += 1
         answer = _closed_form(params)
         assert answer is not None, (spec, x, y)
-        assert _row(params, CLOSURE_CAP_DEFAULT) == (walk, None, answer[3]), (spec, x, y)
+        assert _row(params, CLOSURE_CAP_DEFAULT) == (walk, None, answer[4]), (spec, x, y)
     assert flat == 4 * ring.cardinality - 4
 
 
-@pytest.mark.parametrize("spec", DIFFERENTIAL_RINGS)
+@pytest.mark.parametrize("spec", DIFFERENTIAL_RINGS + CHAR_2_RINGS)
 def test_closed_form_keys_split_rows_as_the_dart_keys_do(spec, walked):
     # row by row, (fingerprint, closed-form key or dart key) and (fingerprint,
     # dart key) give the same partition; then a scan's classes are those of a
@@ -390,9 +393,71 @@ def test_closed_form_caps_as_the_walk_does(walked):
         assert kinds == {False, True}, spec
 
 
+@pytest.mark.parametrize("spec", CHAR_2_RINGS)
+def test_characteristic_2_rows_match_the_walk(spec, walked):
+    # every row of characteristic 2 has a closed form, D_p, C2 or 1, which is
+    # the walk's report; and |G| > cap raises CapExceeded(cap) at once,
+    # exactly where the walk would
+    ring = ring_make(spec)
+    one = ring.one
+    kinds = set()
+    for (x, y), (walk, _) in walked(spec).items():
+        params = PolyhedronParams(x, y)
+        assert _row(params, CLOSURE_CAP_DEFAULT)[:2] == (walk, None), (spec, x, y)
+        order = walk.group_order
+        if one in (x, y):
+            kinds.add((walk.p, walk.e_order, walk.q))
+        else:
+            assert (walk.p % 2, walk.e_order, walk.q) == (1, 2, 2), (spec, x, y)
+            assert walk.recognized == ("S3" if walk.p == 3 else f"D{walk.p}")
+        assert _closed_form(params, order)[0] == walk.fingerprint
+        rhos = list(make_rhos(params))
+        for attempt in (lambda: _closed_form(params, order - 1),
+                        lambda: generate(rhos, cap=order - 1)):
+            with pytest.raises(CapExceeded) as info:
+                attempt()
+            assert info.value.cap == order - 1, (spec, x, y)
+    assert kinds == {(2, 2, 1), (2, 1, 2), (1, 1, 1)}, spec
+
+
+@pytest.mark.parametrize("exact", [[], ["--exact-dedupe"]])
+def test_characteristic_2_scan_walks_no_row(monkeypatch, exact):
+    closures = []
+
+    def closure(*args, **kwargs):
+        closures.append(args)
+        return generate(*args, **kwargs)
+    monkeypatch.setattr(cli, "generate", closure)
+    with redirect_stdout(io.StringIO()):
+        assert main(["scan", "--ring", "gf:2^4", "--format", "json", *exact]) == 0
+    assert closures == []
+
+
+def test_characteristic_2_certificate_raises(capsys, monkeypatch):
+    # the closed form checks rho_e^2 = rho_f^2 = I and rho_v = rho_f rho_e
+    # before it answers: the reflections, or one rotation of another row, fail
+    ring = ring_make("gf:2^2")
+    t = ring.parse_elem("t")
+    params = PolyhedronParams(ring.zero, t)
+    gens = GeneratorSet.from_params(params)
+    other = GeneratorSet.from_params(PolyhedronParams(t, ring.zero))
+    for bad in (GeneratorSet(ring, *make_sigmas(params)),
+                dataclasses.replace(gens, rho_v=other.rho_v),
+                dataclasses.replace(gens, rho_e=gens.rho_v)):
+        with pytest.raises(InvariantViolation, match="involutions"):
+            closed_form(params, bad)
+    fp, p, e_order, q, _ = closed_form(params, gens)
+    assert (fp.order, p, e_order, q) == (10, 5, 2, 2)  # D5
+    # exit 5 from the CLI
+    monkeypatch.setattr(GeneratorSet, "from_params",
+                        classmethod(lambda cls, params: cls(params.ring, *make_sigmas(params))))
+    assert main(["analyze", "--ring", "gf:2^2", "--x", "0", "--y", "t"]) == 5
+    assert "involutions" in capsys.readouterr().err
+
+
 def test_closed_form_declines_other_rings():
-    # characteristic 2 and composite moduli have no closed form: every row walks
-    for spec in ("gf:2^2", "gf:2^3", "zmod:9", "zmod:15"):
+    # composite moduli have no closed form: every row walks
+    for spec in ("zmod:9", "zmod:15"):
         ring = ring_make(spec)
         for x, y in itertools.product(ring.elements(), repeat=2):
             assert _closed_form(PolyhedronParams(x, y)) is None, (spec, x, y)
@@ -409,7 +474,7 @@ def test_certified_order_must_divide_pgl2_order():
             answer = None if _det_b_zero(x, y) else _closed_form(PolyhedronParams(x, y), q ** 3)
             if answer is None:
                 continue
-            fp, p, q_f, _ = answer
+            fp, p, _, q_f, _ = answer
             assert q * (q * q - 1) % fp.order == 0, (spec, x, y)
             assert sum(c for _, c in fp.spectrum) == fp.order
             assert all(fp.order % d == 0 for d, _ in fp.spectrum)
@@ -443,7 +508,7 @@ def test_form_not_preserved_raises():
     # the reflections preserve the form, but their determinant is -1
     with pytest.raises(InvariantViolation, match="not in SO"):
         closed_form(params, GeneratorSet(ring, *make_sigmas(params)))
-    fp, p, q, _ = _closed_form(params)
+    fp, p, _, q, _ = _closed_form(params)
     assert (fp.order, p, q) == (336, 3, 8)  # PGL(2, 7)
 
 
