@@ -26,7 +26,7 @@ from .errors import (
     PolyffError,
     UnsupportedRing,
 )
-from .groupgen import CLOSURE_CAP_DEFAULT, GeneratedGroup, closed_form, generate
+from .groupgen import CLOSURE_CAP_DEFAULT, FactTable, GeneratedGroup, closed_form, generate
 from .regmap import RegularMapReport, _map_report, analyze, dart_model
 from .rings import Ring, ZMod, ring_make
 from .universal import GeneratorSet, PolyhedronParams, survey_relations
@@ -46,23 +46,30 @@ def run_pipeline(params: PolyhedronParams,
     return group, analyze(group)
 
 
-def _row(params: PolyhedronParams, cap: int, walk: bool = False):
+def _row(params: PolyhedronParams, cap: int, walk: bool = False,
+         facts: FactTable | None = None):
     """One row's (report, walked group or None, closed-form dedupe key or None).
 
     A row that ``closed_form`` answers (over a field: in characteristic 2
     every row, in odd characteristic every row but those its trace screen
-    keeps) skips the walk; every other row walks.  With ``walk``, a
-    closed-form row walks too, and the walk's |G|, p, e_order and q must
-    agree.
+    keeps) skips the walk; every other row walks.  ``facts`` is the
+    command's ``FactTable``, None for a command of one row.  With ``walk``
+    (``--darts``), a closed-form row walks too, and the walk's |G|, p,
+    e_order and q must agree with the closed form.  The walk takes the
+    closed form's fingerprint, so this check does not compare the spectrum
+    or the center; ``tests/test_groupgen.py``'s differential test compares
+    the closed form's whole fingerprint with the walk's on every row of
+    thirteen rings.
     """
     gens = GeneratorSet.from_params(params)
     rhos = [gens.rho_v, gens.rho_e, gens.rho_f]
-    answer = closed_form(params, gens, cap)
+    answer = closed_form(params, gens, cap, facts)
     if answer is None:
         group = generate(rhos, cap=cap)
         return analyze(group), group, None
     fp, p, e_order, q, key = answer
-    report = _map_report(fp.order, p, e_order, q, fp)
+    report = _map_report(fp.order, p, e_order, q, fp,
+                         None if facts is None else facts.recognize(fp))
     if not walk:
         return report, None, key
     group = generate(rhos, cap=cap)
@@ -194,13 +201,14 @@ def cmd_grid(args) -> int:
     return _report_command(args, used, params, extra_keys)
 
 
-def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
+def _scan_row(facts: FactTable, x, y, cap: int, exact: bool):
     """One scan cell: returns (row dict, dart key or None).
 
-    When the closure passes ``cap``, the row has ``cap_exceeded`` true and
-    ``group_order`` holds the partial count, which is the cap: the group
-    has more elements, and the closure may have stopped in its row pass
-    before it walked any element.
+    ``facts`` is the scan's ``FactTable``.  The row holds the scan columns
+    and ``cap_exceeded``, read from the report.  When the closure passes
+    ``cap``, the row has ``cap_exceeded`` true and ``group_order`` holds the
+    partial count, which is the cap: the group has more elements, and the
+    closure may have stopped in its row pass before it walked any element.
 
     With ``exact``, the key is equal for two rows of one fingerprint exactly
     when their maps are equivalent: a closed-form row's key from
@@ -212,23 +220,38 @@ def _scan_row(ring: Ring, x, y, cap: int, exact: bool):
     conjugating bijection may be taken to fix dart 0, and along the walk it
     fixes all.
     """
-    params = PolyhedronParams(x, y)
     try:
-        report, group, key = _row(params, cap)
+        report, group, key = _row(PolyhedronParams(x, y), cap, facts=facts)
     except CapExceeded as exc:
         row = {"x": str(x), "y": str(y), "group_order": exc.cap,
                "p": None, "q": None, "genus": None, "degenerate": True,
                "fingerprint": "", "recognized": "cap_exceeded",
                "cap_exceeded": True}
         return row, None
-    d = report_dict(ring, params, report)
-    row = {col: d[col] for col in SCAN_COLUMNS}
-    row["cap_exceeded"] = False
+    row = {"x": str(x), "y": str(y), "group_order": report.group_order,
+           "p": report.p, "q": report.q, "genus": report.genus,
+           "degenerate": report.degenerate, "fingerprint": facts.serialize(report.fingerprint),
+           "recognized": report.recognized, "cap_exceeded": False}
     if not exact:
         return row, None
     if key is None:
-        key = b"".join(array("l", perm).tobytes() for perm in dart_model(group).perms())
+        # the rows of one fingerprint have one |G|, so their keys have one item width
+        code = "H" if group.order <= 1 << 16 else "l"
+        key = b"".join(array(code, perm).tobytes() for perm in dart_model(group).perms())
     return row, key
+
+
+# ``json.dumps(obj, indent=2)`` of a flat dict at depth 2, braces aside, from the C encoder
+_json_object = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _json_objects(items: list[dict]) -> str:
+    """``json.dumps(items, indent=2)`` of flat dicts at depth 1, with one encoder call each."""
+    if not items:
+        return "[]"
+    return ("[\n    {\n      "
+            + "\n    },\n    {\n      ".join(_json_object(d)[1:-1] for d in items)
+            + "\n    }\n  ]")
 
 
 def cmd_scan(args) -> int:
@@ -243,7 +266,8 @@ def cmd_scan(args) -> int:
     each Frobenius orbit of pairs is answered once, at its least pair, which
     ``itertools.product`` visits first, and its other pairs copy that row
     with their own x and y.  On any other ring the map is the identity and
-    every orbit is one pair.
+    every orbit is one pair.  The rows share one ``FactTable``, which takes
+    the Frobenius table and is dropped when the scan ends.
     """
     _require_positive(cap=args.cap, width=args.width)
     ring = ring_make(args.ring)
@@ -252,8 +276,10 @@ def cmd_scan(args) -> int:
             f"scan over cardinality {ring.cardinality} refused "
             f"(limit {args.max_cardinality}; raise with --max-cardinality)")
     elements = list(ring.elements())
+    names = [str(u) for u in elements]
     frob = [ring._pow(u, ring.modulus if ring.is_field else 1)
             for u in range(ring.cardinality)]
+    facts = FactTable(ring, frob)
     exact = args.exact_dedupe
     rows = []
     classes: dict[str, dict] = {}
@@ -266,9 +292,9 @@ def cmd_scan(args) -> int:
         least = min(orbit)
         if least in answers:
             first, cls = answers[least]
-            row = {**first, "x": str(x), "y": str(y)}
+            row = {**first, "x": names[x.val], "y": names[y.val]}
         else:
-            row, darts = _scan_row(ring, x, y, args.cap, exact)
+            row, darts = _scan_row(facts, x, y, args.cap, exact)
             cls = None
             if not row["cap_exceeded"]:
                 fp = key = row["fingerprint"]
@@ -296,9 +322,11 @@ def cmd_scan(args) -> int:
             print(f"# class {cls.get('class', cls['fingerprint'])}: "
                   f"count={cls['count']} recognized={cls['recognized']}", file=sys.stderr)
     elif args.format == "json":
-        payload = {"schema": SCHEMA_VERSION, "ring": ring.spec_string(),
-                   "rows": rows, "classes": class_list}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        # the bytes of json.dumps(payload, indent=2), with the C encoder doing each row
+        _emit(args, f'{{\n  "schema": {SCHEMA_VERSION},'
+                    f'\n  "ring": {json.dumps(ring.spec_string())},'
+                    f'\n  "rows": {_json_objects(rows)},'
+                    f'\n  "classes": {_json_objects(class_list)}\n}}\n')
     else:
         lines = []
         for row in rows:

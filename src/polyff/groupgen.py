@@ -310,14 +310,80 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     return GroupFingerprint(n_elems, tuple(sorted(counts.items())), center == n_elems, center)
 
 
-def _lucas_v(ring, s: int, n: int) -> int:
+class FactTable:
+    """What the rows of one ring share, each worked out on first use and kept per command.
+
+    ``closed_form`` reads through it every fact that depends only on a trace,
+    on q' or on a fingerprint: the codes of 0, 1, 2, 3 and -1; per trace its
+    Frobenius image and ``_screened_to_walk``'s order class; per trace and
+    q' its ``_trace_order`` and the PSL/PGL Euler test; ``_factor(n)``; the
+    spectra of PSL(2, q') and PGL(2, q'), of D_n and of each T : H; and per
+    fingerprint its ``serialize()`` text and ``recognize()`` name.  Over
+    GF(41) a scan of 1,681 rows then orders each of the 41 traces once, not
+    each row's two.  A command builds one table and drops it when it ends,
+    and nothing is stored on the ring, so no fact outlives the command or
+    reaches a ring with equal codes and other arithmetic.  Entries are filled
+    lazily, so a single row pays only for its own traces; a scan passes
+    ``frob``, its table of u -> u^P over all codes, and any other caller gets
+    each trace's image computed when first asked.
+    """
+
+    def __init__(self, ring, frob: Sequence[int] | None = None):
+        code = ring._from_int
+        self.ring, self._frob, self._facts = ring, frob, {}
+        self.zero, self.one, self.two, self.three, self.minus_one = (
+            code(0), code(1), code(2), code(3), code(-1))
+
+    def _get(self, key, compute, *args):
+        value = self._facts.get(key)  # no fact is None
+        if value is None:
+            value = self._facts[key] = compute(*args)
+        return value
+
+    def frobenius(self, t: int) -> int:
+        """t^P, P the characteristic."""
+        if self._frob is None:
+            return self._get(("frobenius", t), self.ring._pow, t, self.ring.modulus)
+        return self._frob[t]
+
+    def factor(self, n: int) -> dict[int, int]:
+        """``_factor(n)``, one dict shared by every reader, which must not change it."""
+        return self._get(("factor", n), _factor, n)
+
+    def trace_order(self, t: int, qp: int) -> int:
+        return self._get(("order", t, qp), _trace_order, self, t, qp)
+
+    def plus_one_is_square(self, t: int, qp: int) -> bool:
+        return self._get(("square", t, qp), _plus_one_is_square, self, t, qp)
+
+    def order_class(self, t: int) -> int:
+        return self._get(("class", t), _order_class, self, t)
+
+    def linear_fractional_spectrum(self, qp: int, e: int) -> tuple[tuple[int, int], ...]:
+        return self._get(("psl", qp, e), _linear_fractional_spectrum, self, qp, e)
+
+    def dihedral_spectrum(self, n: int) -> tuple[tuple[int, int], ...]:
+        return self._get(("dihedral", n), dihedral_spectrum, n)
+
+    def translation_spectrum(self, t_size: int, point: tuple) -> tuple[tuple[int, int], ...]:
+        return self._get(("translation", t_size, point), _translation_spectrum,
+                         self.ring.modulus, t_size, point)
+
+    def serialize(self, fp: GroupFingerprint) -> str:
+        return self._get(("text", fp), fp.serialize)
+
+    def recognize(self, fp: GroupFingerprint) -> str:
+        return self._get(("name", fp), recognize, fp)
+
+
+def _lucas_v(ring, s: int, n: int, two: int) -> int:
     """V_n(s), with V_0 = 2, V_1 = s, V_(m+1) = s V_m - V_(m-1), on ring codes.
 
     V_n(lam + 1/lam) = lam^n + lam^(-n).  The ladder keeps (V_m, V_(m+1)) and
-    uses V_2m = V_m^2 - 2 and V_(2m+1) = V_m V_(m+1) - s.
+    uses V_2m = V_m^2 - 2 and V_(2m+1) = V_m V_(m+1) - s.  ``two`` is the
+    code of 2.
     """
     mul, sub = ring._mul, ring._sub
-    two = ring._from_int(2)
     a, b = two, s
     for bit in bin(n)[2:]:
         if bit == "1":
@@ -327,7 +393,7 @@ def _lucas_v(ring, s: int, n: int) -> int:
     return a
 
 
-def _trace_order(ring, t: int, q: int, factors: dict[int, dict[int, int]]) -> int:
+def _trace_order(facts: FactTable, t: int, q: int) -> int:
     """The order of g != I in SO(3, B), odd characteristic p, with trace t in the subfield F_q.
 
     g has eigenvalues 1, lam, 1/lam with lam + 1/lam = s = t - 1, and no lone
@@ -335,24 +401,41 @@ def _trace_order(ring, t: int, q: int, factors: dict[int, dict[int, int]]) -> in
     1963).  So t = 3 is one 3x3 Jordan block, of order p; otherwise g has
     order ord(lam), which divides n = q - 1 when V_(q-1)(s) = 2 (lam in F_q)
     and n = q + 1 otherwise.  lam^n = 1 exactly when V_n(s) = 2, and the
-    least such n is found by dividing out the primes of ``factors[n]``.
+    least such n is found by dividing out the primes of ``facts.factor(n)``.
     A rotation of a det B = 0 row with eigenvalues 1, lam, 1/lam and
     lam != +-1 is diagonalizable too, so the same n is its order.  So is
     rho_v in characteristic 2 when s != 0, where 2 = 0 and q -+ 1 are odd:
     ord(lam) is odd, and V_n(s) = 0 exactly when lam^(2n) = 1, that is
     lam^n = 1.
     """
-    if t == ring._from_int(3):
+    ring, two = facts.ring, facts.two
+    if t == facts.three:
         return ring.modulus
-    s, two = ring._sub(t, ring._from_int(1)), ring._from_int(2)
-    n = q - 1 if _lucas_v(ring, s, q - 1) == two else q + 1
-    for f in factors[n]:
-        while n % f == 0 and _lucas_v(ring, s, n // f) == two:
+    s = ring._sub(t, facts.one)
+    n = q - 1 if _lucas_v(ring, s, q - 1, two) == two else q + 1
+    for f in facts.factor(n):
+        while n % f == 0 and _lucas_v(ring, s, n // f, two) == two:
             n //= f
     return n
 
 
-def _screened_to_walk(ring, t_v: int, t_f: int) -> bool:
+def _plus_one_is_square(facts: FactTable, t: int, qp: int) -> bool:
+    """Whether t + 1 is a square in F_q' (Euler's criterion)."""
+    ring, one = facts.ring, facts.one
+    return ring._pow(ring._add(t, one), (qp - 1) // 2) == one
+
+
+def _order_class(facts: FactTable, t: int) -> int:
+    """3, 4 or 5 when g != I in SO(3, B) with trace t has that order, else 0.
+
+    See ``_screened_to_walk``.
+    """
+    ring, zero, one = facts.ring, facts.zero, facts.one
+    return (3 if t == zero else 4 if t == one else
+            5 if ring._sub(ring._mul(t, t), ring._add(t, one)) == zero else 0)
+
+
+def _screened_to_walk(facts: FactTable, t_v: int, t_f: int) -> bool:
     """Whether a row with det B != 0 and traces (t_v, t_f) of rho_v and rho_f must walk.
 
     In SO(3, B), odd characteristic, g != I has order 2, 3, 4 or 5 exactly
@@ -366,15 +449,13 @@ def _screened_to_walk(ring, t_v: int, t_f: int) -> bool:
     generates PSL(2, q'), as does every row with an infinite (2, p, q), so
     it has a closed form.
     """
-    zero, one = ring._from_int(0), ring._from_int(1)
-    p, q = (3 if t == zero else 4 if t == one else
-            5 if ring._sub(ring._mul(t, t), ring._add(t, one)) == zero else 0
-            for t in (t_v, t_f))
+    p, q = facts.order_class(t_v), facts.order_class(t_f)
     return bool(p and q) and (classify_pq(p, q) is TilingClass.SPHERICAL
                               or p == q == 5 and t_v != t_f)
 
 
-def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE_CAP_DEFAULT
+def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE_CAP_DEFAULT,
+                facts: FactTable | None = None
                 ) -> tuple[GroupFingerprint, int, int, int, tuple[int, int]] | None:
     """Fingerprint, p, e_order, q and dedupe key of <rho_v, rho_e, rho_f> with no walk, or None.
 
@@ -387,13 +468,16 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
     equal for two rows of one ring and fingerprint exactly when their maps
     are: in odd characteristic the orbit's least pair, in characteristic 2
     (e_order, q).  The group is abelian exactly when its center is all of it.
+    ``facts`` is the command's ``FactTable`` of ``ring``; each fact of a trace
+    or of q' is read from it, and None builds one for this row alone.  The
+    certificates below run on every row.
 
     det B != 0 (x, y != +-1): G is PSL(2, q') or PGL(2, q') (Macbeath 1969).
     It is PSL exactly when t_v + 1 and t_f + 1 are both squares in F_q', and
     |G| = q'(q'^2 - 1)/e, e = 2 for PSL and 1 for PGL.  Its elements: the
     identity, q'^2 - 1 of order P, and phi(n) q'(q' +- 1)/2 of order n for
     each n > 1 dividing (q' -+ 1)/e; the center is 1.  p, q and the spectrum
-    are read from one ``_factor`` each of q' -+ 1.  Raises InvariantViolation
+    are read from one factorization each of q' -+ 1.  Raises InvariantViolation
     unless g^T B g = B and det g = 1 for each generator, B the form of
     ``universal.invariant_form``.
 
@@ -458,7 +542,11 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
     ring = gens.ring
     if not ring.is_field:
         return None
-    add, one, minus_one = ring._add, ring._from_int(1), ring._from_int(-1)
+    if facts is None:
+        facts = FactTable(ring)
+    elif facts.ring != ring:
+        raise MixedRings(f"a fact table of {facts.ring} used in {ring}")
+    add, one, minus_one = ring._add, facts.one, facts.minus_one
     traces = tuple(add(add(g.vals[0], g.vals[4]), g.vals[8]) for g in (gens.rho_v, gens.rho_f))
     x, y = params.x.val, params.y.val
     char, rows_mul = ring.modulus, ring._rows_mul
@@ -471,7 +559,7 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
                 rows_mul(f, gens.rho_e.vals)] != [i, i, v]:
             raise InvariantViolation("rho_e and rho_f are not involutions with product rho_v")
     elif not flat:
-        if _screened_to_walk(ring, *traces):
+        if _screened_to_walk(facts, *traces):
             return None
         form = invariant_form(params)
         b = form.vals
@@ -483,81 +571,98 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
                     or g.det().val != one:
                 raise InvariantViolation(f"generator {g} is not in SO(3, B) for B = {form}")
     orbit = [traces]
-    while (image := tuple(ring._pow(t, char) for t in orbit[-1])) != traces:
+    while (image := tuple(map(facts.frobenius, orbit[-1]))) != traces:
         orbit.append(image)
     qp = char ** len(orbit)  # q'
     if char == 2:
-        order, counts, center, p, e_order, q = _dihedral_group(ring, x, y, traces[0], qp, cap)
+        order, spectrum, center, p, e_order, q = _dihedral_group(facts, x, y, traces[0], qp, cap)
         key = e_order, q
     else:
-        order, counts, center, p, q = (
-            _translation_point_group(ring, x, y, traces, qp, cap) if flat
-            else _linear_fractional_group(ring, traces, qp, cap))
+        order, spectrum, center, p, q = (
+            _translation_point_group(facts, x, y, traces, qp, cap) if flat
+            else _linear_fractional_group(facts, traces, qp, cap))
         e_order, key = 2, min(orbit)
-    spectrum = tuple(sorted((d, c) for d, c in counts.items() if c))
     return GroupFingerprint(order, spectrum, center == order, center), p, e_order, q, key
 
 
-def _dihedral_group(ring, x: int, y: int, t_v: int, qp: int, cap: int):
-    """|G|, element-order counts, center, p, e_order and q of a characteristic-2 row."""
-    one = ring._from_int(1)
+def _spectrum(counts: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """A fingerprint's spectrum from element-order counts, zero counts dropped."""
+    return tuple(sorted((d, c) for d, c in counts.items() if c))
+
+
+def _dihedral_group(facts: FactTable, x: int, y: int, t_v: int, qp: int, cap: int):
+    """|G|, spectrum, center, p, e_order and q of a characteristic-2 row."""
+    one = facts.one
     if x == one or y == one:
         q, e_order = 1 if x == one else 2, 1 if y == one else 2
         p = order = center = max(q, e_order)  # C2, or the trivial group
-        counts = {1: 1, 2: order - 1}
+        spectrum = _spectrum({1: 1, 2: order - 1})
     else:
-        p = _trace_order(ring, t_v, qp, {n: _factor(n) for n in (qp - 1, qp + 1)})
+        p = facts.trace_order(t_v, qp)
         order, center, e_order, q = 2 * p, 1, 2, 2
-        counts = dict(dihedral_spectrum(p))
+        spectrum = facts.dihedral_spectrum(p)
     if order > cap:
         raise CapExceeded(cap)
-    return order, counts, center, p, e_order, q
+    return order, spectrum, center, p, e_order, q
 
 
-def _linear_fractional_group(ring, traces: tuple[int, int], qp: int, cap: int):
-    """|G|, element-order counts, center, p and q of a ``closed_form`` row with det B != 0."""
-    char, one = ring.modulus, ring._from_int(1)
-    e = 2 if all(ring._pow(ring._add(t, one), (qp - 1) // 2) == one for t in traces) else 1
+def _linear_fractional_group(facts: FactTable, traces: tuple[int, int], qp: int, cap: int):
+    """|G|, spectrum, center, p and q of a ``closed_form`` row with det B != 0."""
+    e = 2 if all(facts.plus_one_is_square(t, qp) for t in traces) else 1
     order = qp * (qp * qp - 1) // e
     if order > cap:
         raise CapExceeded(cap)
-    counts = Counter({1: 1, char: qp * qp - 1})
-    factors = {n: _factor(n) for n in (qp - 1, qp + 1)}
+    return (order, facts.linear_fractional_spectrum(qp, e), 1,
+            *(facts.trace_order(t, qp) for t in traces))
+
+
+def _linear_fractional_spectrum(facts: FactTable, qp: int, e: int):
+    """The spectrum of PSL(2, q') (e = 2) or PGL(2, q') (e = 1), q' odd."""
+    counts = Counter({1: 1, facts.ring.modulus: qp * qp - 1})
     for n, size in ((qp - 1, qp * (qp + 1) // 2), (qp + 1, qp * (qp - 1) // 2)):
+        factors = facts.factor(n)
         # q' is odd, so dividing n by e lowers the exponent of 2 by e - 1
-        for d, phi in _cyclic_counts({**factors[n], 2: factors[n][2] + 1 - e})[1:]:
+        for d, phi in _cyclic_counts({**factors, 2: factors[2] + 1 - e})[1:]:
             counts[d] += phi * size
-    return order, counts, 1, *(_trace_order(ring, t, qp, factors) for t in traces)
+    return _spectrum(counts)
 
 
-def _translation_point_group(ring, x: int, y: int, traces: tuple[int, int], qp: int, cap: int):
-    """|G|, element-order counts, center, p and q of a ``closed_form`` row with det B = 0."""
-    char, one, minus_one = ring.modulus, ring._from_int(1), ring._from_int(-1)
+def _translation_point_group(facts: FactTable, x: int, y: int, traces: tuple[int, int],
+                             qp: int, cap: int):
+    """|G|, spectrum, center, p and q of a ``closed_form`` row with det B = 0."""
+    char, one, minus_one = facts.ring.modulus, facts.one, facts.minus_one
     # |T|, the elements h != 1 of H as (order, how many, |C_T(h)|), the center, p, q
     if x == minus_one and y == one:
-        t_size, point, center, p, q = char, [(2, 1, 1)], 1, 2, char
+        t_size, point, center, p, q = char, ((2, 1, 1),), 1, 2, char
     elif x == minus_one or x == one and y == minus_one:
-        t_size, point, center = char * char, [(2, 1, char)], char
+        t_size, point, center = char * char, ((2, 1, char),), char
         p, q = (2 * char, char) if x == minus_one else (char, 2 * char)
     elif x == y == one:
-        t_size, point, center, p, q = char ** 3, [(2, 3, char)], 1, 2 * char, 2 * char
+        t_size, point, center, p, q = char ** 3, ((2, 3, char),), 1, 2 * char, 2 * char
     else:
-        factors = {n: _factor(n) for n in (qp - 1, qp + 1)}
-        p = 2 * char if y == one else _trace_order(ring, traces[0], qp, factors)
-        q = 2 * char if x == one else _trace_order(ring, traces[1], qp, factors)
+        p = 2 * char if y == one else facts.trace_order(traces[0], qp)
+        q = 2 * char if x == one else facts.trace_order(traces[1], qp)
         n = p if x == one else q if y == one else max(p, q)
-        point = [(d, phi, 1) for d, phi in _cyclic_counts(_factor(n))[1:]]
+        point = tuple((d, phi, 1) for d, phi in _cyclic_counts(facts.factor(n))[1:])
         if y != minus_one:
-            point.append((2, n, qp))  # the n reflections of D_n
+            point += ((2, n, qp),)  # the n reflections of D_n
         t_size, center = qp * qp, 1
     order = t_size * (1 + sum(k for _, k, _ in point))
     if order > cap:
         raise CapExceeded(cap)
+    return order, facts.translation_spectrum(t_size, point), center, p, q
+
+
+def _translation_spectrum(char: int, t_size: int, point: tuple):
+    """The spectrum of T : H with |T| = t_size.
+
+    ``point`` lists H's elements h != 1 as (order, how many, |C_T(h)|).
+    """
     counts = Counter({1: 1, char: t_size - 1})
     for m, k, fix in point:
         counts[m] += k * t_size // fix
         counts[m * char] += k * (t_size - t_size // fix)
-    return order, counts, center, p, q
+    return _spectrum(counts)
 
 
 # ---------------------------------------------------------------------------

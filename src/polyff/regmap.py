@@ -90,14 +90,15 @@ def analyze(G: GeneratedGroup, fp: GroupFingerprint | None = None) -> RegularMap
     return _map_report(G.order, p, e_order, q, order_spectrum(G) if fp is None else fp)
 
 
-def _map_report(order: int, p: int, e_order: int, q: int,
-                fp: GroupFingerprint) -> RegularMapReport:
+def _map_report(order: int, p: int, e_order: int, q: int, fp: GroupFingerprint,
+                name: str | None = None) -> RegularMapReport:
     """The report of |G| = order with rotation orders p, e_order, q: walked or closed form.
 
     rho_e^2 = I, and rho_v = I forces rho_e = I, so only rho_e or rho_f = I
     makes a map degenerate.  Otherwise three regular permutations composing
     to the identity tile a closed orientable surface, and counts that do not
-    (a wrong |G|, p or q) raise InvariantViolation.
+    (a wrong |G|, p or q) raise InvariantViolation.  ``name`` is
+    ``recognize(fp)``, computed here when not given.
     """
     reason = V = E = F = genus = euler = None
     if e_order != 2:
@@ -111,7 +112,8 @@ def _map_report(order: int, p: int, e_order: int, q: int,
             raise InvariantViolation(f"|G| = {order}, p = {p}, q = {q} give no closed surface")
         genus, euler = doubled // 2, V - E + F
     return RegularMapReport(order, p, q, e_order, V, E, F, genus, euler,
-                            reason is not None, reason, fp, recognize(fp))
+                            reason is not None, reason, fp,
+                            recognize(fp) if name is None else name)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ from __future__ import annotations
 from contextlib import redirect_stdout
 import io
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -13,7 +17,7 @@ import pytest
 
 from polyff import cli, groupgen
 from polyff.cli import _scan_row, main, run_pipeline
-from polyff.groupgen import CLOSURE_CAP_DEFAULT
+from polyff.groupgen import CLOSURE_CAP_DEFAULT, FactTable
 from polyff.regmap import DartModel, dart_model, maps_equivalent
 from polyff.rings import ring_make
 from polyff.universal import PolyhedronParams
@@ -355,7 +359,7 @@ def test_exact_dedupe_classes_are_the_equivalence_partition(capsys, spec, n_clas
     expected: dict[str, dict] = {}
     for x in ring.elements():
         for y in ring.elements():
-            row, key = _scan_row(ring, x, y, CLOSURE_CAP_DEFAULT, True)
+            row, key = _scan_row(FactTable(ring), x, y, CLOSURE_CAP_DEFAULT, True)
             model = dart_model(run_pipeline(PolyhedronParams(x, y))[0])
             bucket = buckets.setdefault(row["fingerprint"], [])
             match = [entry for entry in bucket if maps_equivalent(model, entry[0])]
@@ -447,22 +451,40 @@ def test_scan_answers_each_frobenius_orbit_once(capsys, monkeypatch, spec, calls
     # into orbits of sizes dividing k; over a prime field every orbit is one pair
     answered = []
 
-    def counted(ring, x, y, cap, exact):
+    def counted(facts, x, y, cap, exact):
         answered.append((x, y))
-        return _scan_row(ring, x, y, cap, exact)
+        return _scan_row(facts, x, y, cap, exact)
     monkeypatch.setattr(cli, "_scan_row", counted)
     code, _, _ = run(capsys, "scan", "--ring", spec, "--exact-dedupe")
     assert code == 0
     assert len(answered) == len(set(answered)) == calls
 
 
+def test_scan_facts_do_not_outlive_the_scan(capsys):
+    # the two gf:3^2 fields share their codes, not their arithmetic: 36 of their 81
+    # rows differ in group, so a fact kept from one scan would change the next
+    specs = ["gf:3^2:t^2+1", "gf:3^2:t^2+t+2", "gf:3^2:t^2+1"]
+    flags = ["--format", "json", "--exact-dedupe"]
+    outputs = [run(capsys, "scan", "--ring", spec, *flags) for spec in specs]
+    rows = [json.loads(out)["rows"] for _, out, _ in outputs[:2]]
+    assert sum(a["group_order"] != b["group_order"] for a, b in zip(*rows)) == 36
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    for spec, got in zip(specs, outputs):
+        fresh = subprocess.run([sys.executable, "-m", "polyff.cli", "scan", "--ring", spec,
+                                *flags], capture_output=True, text=True, env=env)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), spec
+
+
 def _reference_scan(spec: str, cap: int, exact: bool) -> tuple[list, list]:
-    """Rows and classes of a scan that calls ``_scan_row`` for every pair, with no reuse."""
+    """Rows and classes of a scan that calls ``_scan_row`` for every pair, with no reuse.
+
+    Each row gets a fresh ``FactTable``, so no fact of one row reaches another.
+    """
     ring = ring_make(spec)
     rows, classes, numbers = [], {}, {}
     for x in ring.elements():
         for y in ring.elements():
-            row, darts = _scan_row(ring, x, y, cap, exact)
+            row, darts = _scan_row(FactTable(ring), x, y, cap, exact)
             rows.append(row)
             if row["cap_exceeded"]:
                 continue

@@ -20,7 +20,10 @@ The report's assembly is pinned per command: the grid prediction with a
 verdict (triangular n = 7, text) and without one (square n = 2, whose
 report is degenerate, so ``match`` is null), the bad-prime keys of
 ``catalog``, the one-row csv of ``specialize``, and scan rows stopped by
-``--cap`` (zmod:9, exit 4).  The gf:3^2 exact scan pins the ``#k`` numbering
+``--cap`` (zmod:9, exit 4).  ``scan-zmod4-cap1-json`` (captured before the
+scan's JSON was laid out row by row) stops every row at ``--cap 1``: its
+rows print ``null`` p, q and genus, its ``"classes"`` is the empty list
+``[]``, and it exits 4.  The gf:3^2 exact scan pins the ``#k`` numbering
 over an odd extension field, whose closed-form rows are keyed by their
 traces and the rest by their darts, and the gf:7^2 analysis pins the
 117,600-element group PGL(2, 49), answered in closed form without a walk.
@@ -80,6 +83,7 @@ CASES = {
     "specialize-cube-gf5-csv": ["specialize", "--solid", "cube", "--ring", "gf:5",
                                 "--format", "csv"],
     "scan-zmod9-cap20-json": ["scan", "--ring", "zmod:9", "--cap", "20", "--format", "json"],
+    "scan-zmod4-cap1-json": ["scan", "--ring", "zmod:4", "--cap", "1", "--format", "json"],
     "scan-gf9-json-exact": ["scan", "--ring", "gf:3^2", "--format", "json", "--exact-dedupe"],
     "analyze-gf49-x-t-y-t1": ["analyze", "--ring", "gf:7^2:t^2+2", "--x", "t", "--y", "t+1"],
 }

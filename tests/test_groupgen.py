@@ -13,13 +13,14 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from polyff import cli
+from polyff import cli, groupgen
 from polyff.catalog import TilingClass, classify_pq
 from polyff.cli import SCAN_COLUMNS, _row, main, report_dict, run_pipeline
-from polyff.errors import CapExceeded, InvariantViolation, NonInvertibleGenerator
+from polyff.errors import CapExceeded, InvariantViolation, MixedRings, NonInvertibleGenerator
 from polyff.groupgen import (
     CLOSURE_CAP_DEFAULT,
     RECOGNITION_TABLE,
+    FactTable,
     GeneratedGroup,
     GroupFingerprint,
     closed_form,
@@ -431,6 +432,33 @@ def test_characteristic_2_scan_walks_no_row(monkeypatch, exact):
     with redirect_stdout(io.StringIO()):
         assert main(["scan", "--ring", "gf:2^4", "--format", "json", *exact]) == 0
     assert closures == []
+
+
+def test_scan_works_out_each_trace_and_factorization_once(monkeypatch):
+    # scan gf:41 has 1,681 rows but 41 traces and one q': its FactTable orders each
+    # (trace, q') once and factors each n once (a table per row made 3,180
+    # _trace_order and 3,376 _factor calls)
+    calls: dict[str, list] = {"_trace_order": [], "_factor": []}
+    for name, seen in calls.items():
+        def spy(*args, real=getattr(groupgen, name), seen=seen):
+            seen.append(args)
+            return real(*args)
+        monkeypatch.setattr(groupgen, name, spy)
+    with redirect_stdout(io.StringIO()):
+        assert main(["scan", "--ring", "gf:41", "--format", "json"]) == 0
+    orders, factors = calls["_trace_order"], calls["_factor"]
+    assert len(set(orders)) == len(orders) <= 41
+    assert len(set(factors)) == len(factors) <= 41
+
+
+def test_fact_table_of_another_ring_raises():
+    # two fields with equal codes and other arithmetic must not share facts
+    ring, other = ring_make("gf:3^2:t^2+1"), ring_make("gf:3^2:t^2+t+2")
+    params = PolyhedronParams(ring.parse_elem("t"), ring.parse_elem("t+1"))
+    with pytest.raises(MixedRings):
+        closed_form(params, GeneratorSet.from_params(params), facts=FactTable(other))
+    assert closed_form(params, GeneratorSet.from_params(params), facts=FactTable(ring)) \
+        == closed_form(params, GeneratorSet.from_params(params))
 
 
 def test_characteristic_2_certificate_raises(capsys, monkeypatch):
