@@ -201,14 +201,15 @@ def cmd_grid(args) -> int:
     return _report_command(args, used, params, extra_keys)
 
 
-def _scan_row(facts: FactTable, x, y, cap: int, exact: bool):
+def _scan_row(facts: FactTable, names: list[str], x, y, cap: int, exact: bool):
     """One scan cell: returns (row dict, dart key or None).
 
-    ``facts`` is the scan's ``FactTable``.  The row holds the scan columns
-    and ``cap_exceeded``, read from the report.  When the closure passes
-    ``cap``, the row has ``cap_exceeded`` true and ``group_order`` holds the
-    partial count, which is the cap: the group has more elements, and the
-    closure may have stopped in its row pass before it walked any element.
+    ``facts`` is the scan's ``FactTable`` and ``names[u]`` the text of code
+    u.  The row holds the scan columns and ``cap_exceeded``, read from the
+    report.  When the closure passes ``cap``, the row has ``cap_exceeded``
+    true and ``group_order`` holds the partial count, which is the cap: the
+    group has more elements, and the closure may have stopped in its row
+    pass before it walked any element.
 
     With ``exact``, the key is equal for two rows of one fingerprint exactly
     when their maps are equivalent: a closed-form row's key from
@@ -223,12 +224,12 @@ def _scan_row(facts: FactTable, x, y, cap: int, exact: bool):
     try:
         report, group, key = _row(PolyhedronParams(x, y), cap, facts=facts)
     except CapExceeded as exc:
-        row = {"x": str(x), "y": str(y), "group_order": exc.cap,
+        row = {"x": names[x.val], "y": names[y.val], "group_order": exc.cap,
                "p": None, "q": None, "genus": None, "degenerate": True,
                "fingerprint": "", "recognized": "cap_exceeded",
                "cap_exceeded": True}
         return row, None
-    row = {"x": str(x), "y": str(y), "group_order": report.group_order,
+    row = {"x": names[x.val], "y": names[y.val], "group_order": report.group_order,
            "p": report.p, "q": report.q, "genus": report.genus,
            "degenerate": report.degenerate, "fingerprint": facts.serialize(report.fingerprint),
            "recognized": report.recognized, "cap_exceeded": False}
@@ -294,7 +295,7 @@ def cmd_scan(args) -> int:
             first, cls = answers[least]
             row = {**first, "x": names[x.val], "y": names[y.val]}
         else:
-            row, darts = _scan_row(facts, x, y, args.cap, exact)
+            row, darts = _scan_row(facts, names, x, y, args.cap, exact)
             cls = None
             if not row["cap_exceeded"]:
                 fp = key = row["fingerprint"]

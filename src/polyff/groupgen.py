@@ -2,20 +2,20 @@
 
 Over a field of odd characteristic p, every rotation group preserves the
 symmetric form B of ``universal.invariant_form``, with
-det B = -(x - 1)^2 (x + 1)(y - 1)(y + 1)^2.  ``closed_form`` answers three
-kinds of row with no walk, from x, y and the traces of rho_v and rho_f:
+det B = -(x - 1)^2 (x + 1)(y - 1)(y + 1)^2.  ``closed_form`` answers rows
+with no walk, from x, y and the traces of rho_v and rho_f, by two rules:
 
 - det B != 0: the group is a subgroup of SO(3, B) = PGL(2, q).  By
   Macbeath's classification (A. M. Macbeath, "Generators of the linear
   fractional groups", 1969; Dickson, *Linear Groups*, ch. XII) it is
   dihedral, A4, S4, A5, or PSL(2, q') or PGL(2, q') for the field F_q' that
   the two traces generate, and the last kind is answered.
-- det B = 0 (x or y = +-1; not the report's ``degenerate`` flag): the
-  group fixes the radical of B and is a group of translations extended by
-  a cyclic or dihedral point group, the finite analogue of a Euclidean
-  torus map at y = -1.
-- characteristic 2 (zmod:2 and gf:2^k): sigma0 = I, so rho_e and rho_f are
-  two involutions (or I) and the group is dihedral, C2 or trivial.
+- every other closed form is T : H, translations T extended by a point
+  group H.  With det B = 0 (x or y = +-1; not the report's ``degenerate``
+  flag) G fixes the radical of B and H is cyclic or dihedral, the finite
+  analogue of a Euclidean torus map at y = -1.  In characteristic 2
+  (zmod:2 and gf:2^k) sigma0 = I, |T| = 1 and G = H: dihedral, C2 or trivial.
+  The cap is checked once for both, and by PSL/PGL before any factoring.
 
 Every other row walks: rows over composite moduli, rows that
 ``closed_form``'s trace screen keeps ((p, q) spherical in the trichotomy of
@@ -29,9 +29,10 @@ frontier of rows by each generator in one call (about 3q^2 rows over a
 field of q elements), then walks the elements as triples of row numbers,
 reading each edge from the row images with no product.  A group is
 summarized by an isomorphism-invariant fingerprint: order, multiset of
-element orders, abelian flag, and center size.  For the small groups named
-in the recognition table the fingerprint identifies the group; this is a
-lookup guarantee for table entries only, not a general isomorphism test.
+element orders, and center size (the group is abelian when its center is
+all of it).  For the small groups named in the recognition table the
+fingerprint identifies the group; this is a lookup guarantee for table
+entries only, not a general isomorphism test.
 """
 
 from __future__ import annotations
@@ -58,8 +59,12 @@ class GroupFingerprint:
 
     order: int
     spectrum: tuple[tuple[int, int], ...]  # sorted (element order, count)
-    abelian: bool
     center_size: int
+
+    @property
+    def abelian(self) -> bool:
+        """A group is abelian exactly when its center is all of it."""
+        return self.center_size == self.order
 
     def serialize(self) -> str:
         spec = ",".join(f"{d}:{c}" for d, c in self.spectrum)
@@ -255,15 +260,14 @@ def _conjugacy_classes(cols: list[list[int]], parent: array,
 
 
 def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
-    """Element-order multiset plus abelian flag and center size.
+    """Element-order multiset and center size.
 
     Everything is read from the Cayley table, and no matrix is multiplied
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
     section 3.1 and chapter 4).  The closure's breadth-first tree, whose
     sweep rejects a table not numbered in discovery order, gives left
     multiplication and conjugation by each generator, and from them
-    the conjugacy classes.  The center is the set of one-element classes,
-    and the group is abelian when its center is all of it.
+    the conjugacy classes.  The center is the set of one-element classes.
 
     Element order is a class invariant, so one power walk per class gives
     the orders.  The walk right-multiplies by the class representative a,
@@ -306,8 +310,7 @@ def order_spectrum(G: GeneratedGroup) -> GroupFingerprint:
     counts: Counter[int] = Counter()
     for order, size in zip(class_order, sizes):
         counts[order] += size
-    center = sizes.count(1)
-    return GroupFingerprint(n_elems, tuple(sorted(counts.items())), center == n_elems, center)
+    return GroupFingerprint(n_elems, tuple(sorted(counts.items())), sizes.count(1))
 
 
 class FactTable:
@@ -317,7 +320,7 @@ class FactTable:
     on q' or on a fingerprint: the codes of 0, 1, 2, 3 and -1; per trace its
     Frobenius image and ``_screened_to_walk``'s order class; per trace and
     q' its ``_trace_order`` and the PSL/PGL Euler test; ``_factor(n)``; the
-    spectra of PSL(2, q') and PGL(2, q'), of D_n and of each T : H; and per
+    spectra of PSL(2, q') and PGL(2, q') and of each T : H; and per
     fingerprint its ``serialize()`` text and ``recognize()`` name.  Over
     GF(41) a scan of 1,681 rows then orders each of the 41 traces once, not
     each row's two.  A command builds one table and drops it when it ends,
@@ -361,9 +364,6 @@ class FactTable:
 
     def linear_fractional_spectrum(self, qp: int, e: int) -> tuple[tuple[int, int], ...]:
         return self._get(("psl", qp, e), _linear_fractional_spectrum, self, qp, e)
-
-    def dihedral_spectrum(self, n: int) -> tuple[tuple[int, int], ...]:
-        return self._get(("dihedral", n), dihedral_spectrum, n)
 
     def translation_spectrum(self, t_size: int, point: tuple) -> tuple[tuple[int, int], ...]:
         return self._get(("translation", t_size, point), _translation_spectrum,
@@ -463,14 +463,14 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
     the rotations of ``params``.  None means the row must walk: the ring is
     not a field, or the row has odd characteristic P, det B != 0 and
     ``_screened_to_walk`` keeps it.  Every other row is answered from x, y and
-    the traces (t_v, t_f) of rho_v and rho_f.  q' = P^d for the length d of
+    the traces (t_v, t_f) of rho_v and rho_f by one of two rules: PSL(2, q')
+    or PGL(2, q') when det B != 0, else T : H.  q' = P^d for the length d of
     the Frobenius orbit of (t_v, t_f), so F_q' = F_P(t_v, t_f).  The key is
     equal for two rows of one ring and fingerprint exactly when their maps
     are: in odd characteristic the orbit's least pair, in characteristic 2
-    (e_order, q).  The group is abelian exactly when its center is all of it.
-    ``facts`` is the command's ``FactTable`` of ``ring``; each fact of a trace
-    or of q' is read from it, and None builds one for this row alone.  The
-    certificates below run on every row.
+    (e_order, q).  ``facts`` is the command's ``FactTable`` of ``ring``; each
+    fact of a trace or of q' is read from it, and None builds one for this
+    row alone.  The certificates below run on every row.
 
     det B != 0 (x, y != +-1): G is PSL(2, q') or PGL(2, q') (Macbeath 1969).
     It is PSL exactly when t_v + 1 and t_f + 1 are both squares in F_q', and
@@ -513,11 +513,12 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
     fix (x, y) when x != -1, and the x = -1 rows of one fingerprint are one
     map, so the key splits these rows as their maps do.
 
-    Characteristic 2 (P = 2, so -1 = 1 and 2 = 0): sigma0 = I, so rho_e =
-    sigma2 and rho_f = sigma1 are transvections or I, rho_e^2 = rho_f^2 = I,
-    and rho_v = rho_f rho_e.  Two involutions generate the dihedral group
-    whose order is twice that of their product (Coxeter & Moser, *Generators
-    and Relations for Discrete Groups*, section 1.5):
+    Characteristic 2 (P = 2, so -1 = 1 and 2 = 0), T : H with |T| = 1 and
+    G = H: sigma0 = I, so rho_e = sigma2 and rho_f = sigma1 are transvections
+    or I, rho_e^2 = rho_f^2 = I, and rho_v = rho_f rho_e.  Two involutions
+    generate the dihedral group whose order is twice that of their product
+    (Coxeter & Moser, *Generators and Relations for Discrete Groups*, section
+    1.5):
 
     - x, y != 1: t_f = 1 and s = t_v - 1 = (1 + x)(1 + y) != 0.  rho_v has
       the eigenvalues 1, lam and 1/lam with lam + 1/lam = s, so lam != 1, and
@@ -525,7 +526,7 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
       diagonalizable of order p = ord(lam).  p divides q' -+ 1 and is odd
       and at least 3, and ``_trace_order`` finds it: V_0 = 2 = 0, and
       V_n(s) = 0 exactly when lam^(2n) = 1, that is lam^n = 1.  G = D_p:
-      |G| = 2p, q = e_order = 2, spectrum ``dihedral_spectrum(p)``, center 1;
+      |G| = 2p, q = e_order = 2, center 1;
     - x = 1 (rho_f = I, so rho_v = rho_e), y != 1: G = C2, (p, e_order, q)
       = (2, 2, 1); y = 1 (rho_e = I, so rho_v = rho_f), x != 1: G = C2,
       (2, 1, 2); x = y = 1: G = 1, (1, 1, 1).
@@ -536,8 +537,8 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
     splits.  Raises InvariantViolation unless rho_e^2 = rho_f^2 = I and
     rho_v = rho_f rho_e.
 
-    Raises CapExceeded(cap), as the walk would, when |G| > cap; for PSL and
-    PGL before any factorization.
+    Raises CapExceeded(cap), as the walk would, when |G| > cap: PSL and PGL
+    before any factorization, T : H here, once for both its cases.
     """
     ring = gens.ring
     if not ring.is_field:
@@ -574,15 +575,18 @@ def closed_form(params: PolyhedronParams, gens: GeneratorSet, cap: int = CLOSURE
     while (image := tuple(map(facts.frobenius, orbit[-1]))) != traces:
         orbit.append(image)
     qp = char ** len(orbit)  # q'
-    if char == 2:
-        order, spectrum, center, p, e_order, q = _dihedral_group(facts, x, y, traces[0], qp, cap)
-        key = e_order, q
+    if char == 2 or flat:
+        t_size, point, center, p, e_order, q = (
+            _dihedral_group if char == 2 else _translation_point_group)(facts, x, y, traces, qp)
+        order = t_size * (1 + sum(k for _, k, _ in point))
+        if order > cap:
+            raise CapExceeded(cap)
+        spectrum = facts.translation_spectrum(t_size, point)
     else:
-        order, spectrum, center, p, q = (
-            _translation_point_group(facts, x, y, traces, qp, cap) if flat
-            else _linear_fractional_group(facts, traces, qp, cap))
-        e_order, key = 2, min(orbit)
-    return GroupFingerprint(order, spectrum, center == order, center), p, e_order, q, key
+        order, spectrum, p, q = _linear_fractional_group(facts, traces, qp, cap)
+        center, e_order = 1, 2
+    key = (e_order, q) if char == 2 else min(orbit)
+    return GroupFingerprint(order, spectrum, center), p, e_order, q, key
 
 
 def _spectrum(counts: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -590,29 +594,29 @@ def _spectrum(counts: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((d, c) for d, c in counts.items() if c))
 
 
-def _dihedral_group(facts: FactTable, x: int, y: int, t_v: int, qp: int, cap: int):
-    """|G|, spectrum, center, p, e_order and q of a characteristic-2 row."""
+def _rotations(factors: dict[int, int]) -> tuple[tuple[int, int, int], ...]:
+    """C_n's h != 1 as (order, how many, |C_T(h)| = 1: they fix no translation)."""
+    return tuple((d, phi, 1) for d, phi in _cyclic_counts(factors)[1:])
+
+
+def _dihedral_group(facts: FactTable, x: int, y: int, traces: tuple[int, int], qp: int):
+    """|T| = 1, H's h != 1, center, p, e_order and q of a characteristic-2 row."""
     one = facts.one
     if x == one or y == one:
         q, e_order = 1 if x == one else 2, 1 if y == one else 2
-        p = order = center = max(q, e_order)  # C2, or the trivial group
-        spectrum = _spectrum({1: 1, 2: order - 1})
-    else:
-        p = facts.trace_order(t_v, qp)
-        order, center, e_order, q = 2 * p, 1, 2, 2
-        spectrum = facts.dihedral_spectrum(p)
-    if order > cap:
-        raise CapExceeded(cap)
-    return order, spectrum, center, p, e_order, q
+        p = max(q, e_order)  # C2, or the trivial group: G is its center
+        return 1, ((2, 1, 1),) if p == 2 else (), p, p, e_order, q
+    p = facts.trace_order(traces[0], qp)
+    return 1, _rotations(facts.factor(p)) + ((2, p, 1),), 1, p, 2, 2  # D_p
 
 
 def _linear_fractional_group(facts: FactTable, traces: tuple[int, int], qp: int, cap: int):
-    """|G|, spectrum, center, p and q of a ``closed_form`` row with det B != 0."""
+    """|G|, spectrum, p and q of a ``closed_form`` row with det B != 0."""
     e = 2 if all(facts.plus_one_is_square(t, qp) for t in traces) else 1
     order = qp * (qp * qp - 1) // e
     if order > cap:
         raise CapExceeded(cap)
-    return (order, facts.linear_fractional_spectrum(qp, e), 1,
+    return (order, facts.linear_fractional_spectrum(qp, e),
             *(facts.trace_order(t, qp) for t in traces))
 
 
@@ -628,10 +632,9 @@ def _linear_fractional_spectrum(facts: FactTable, qp: int, e: int):
 
 
 def _translation_point_group(facts: FactTable, x: int, y: int, traces: tuple[int, int],
-                             qp: int, cap: int):
-    """|G|, spectrum, center, p and q of a ``closed_form`` row with det B = 0."""
+                             qp: int):
+    """|T|, H's h != 1 as (order, how many, |C_T(h)|), center, p, e_order, q; det B = 0."""
     char, one, minus_one = facts.ring.modulus, facts.one, facts.minus_one
-    # |T|, the elements h != 1 of H as (order, how many, |C_T(h)|), the center, p, q
     if x == minus_one and y == one:
         t_size, point, center, p, q = char, ((2, 1, 1),), 1, 2, char
     elif x == minus_one or x == one and y == minus_one:
@@ -643,14 +646,11 @@ def _translation_point_group(facts: FactTable, x: int, y: int, traces: tuple[int
         p = 2 * char if y == one else facts.trace_order(traces[0], qp)
         q = 2 * char if x == one else facts.trace_order(traces[1], qp)
         n = p if x == one else q if y == one else max(p, q)
-        point = tuple((d, phi, 1) for d, phi in _cyclic_counts(facts.factor(n))[1:])
+        point = _rotations(facts.factor(n))
         if y != minus_one:
             point += ((2, n, qp),)  # the n reflections of D_n
         t_size, center = qp * qp, 1
-    order = t_size * (1 + sum(k for _, k, _ in point))
-    if order > cap:
-        raise CapExceeded(cap)
-    return order, facts.translation_spectrum(t_size, point), center, p, q
+    return t_size, point, center, p, 2, q
 
 
 def _translation_spectrum(char: int, t_size: int, point: tuple):
@@ -669,10 +669,8 @@ def _translation_spectrum(char: int, t_size: int, point: tuple):
 # recognition
 
 def dihedral_spectrum(n: int) -> tuple[tuple[int, int], ...]:
-    """Order spectrum of the dihedral group D_n of order 2n (n >= 2)."""
-    counts = Counter(dict(_cyclic_counts(_factor(n))))
-    counts[2] += n  # the n reflections
-    return tuple(sorted(counts.items()))
+    """Order spectrum of D_n, of order 2n (n >= 2): T : H with |T| = 1, so any P serves."""
+    return _translation_spectrum(2, 1, _rotations(_factor(n)) + ((2, n, 1),))
 
 
 # spectra verified against brute-force permutation enumeration (see tests)

@@ -3,7 +3,8 @@
 Nothing here imports the package under test.  Seven oracles:
 
 * permutation-group enumeration (spectra of S_n, A_n by listing every
-  permutation and taking cycle-length lcms);
+  permutation and of D_n by closing two permutations of Z/n, taking
+  cycle-length lcms);
 * a standalone matrix-closure enumerator over Z/nZ using plain integer
   tuples, with the rotation formulas written out independently;
 * the quadratic form that every rotation preserves, over Z/nZ;
@@ -69,6 +70,30 @@ def alternating_spectrum(n: int) -> tuple[tuple[int, int], ...]:
     """Order spectrum of A_n by full enumeration."""
     counts = Counter(perm_order(p) for p in itertools.permutations(range(n))
                      if perm_is_even(p))
+    return tuple(sorted(counts.items()))
+
+
+def dihedral_perm_spectrum(n: int) -> tuple[tuple[int, int], ...]:
+    """Order spectrum of D_n, the group of order 2n, by enumeration.
+
+    For n >= 3, D_n is the closure of i -> i + 1 and i -> -i on Z/n, walked
+    breadth first.  D_2 acts on Z/2 unfaithfully, so it is the Klein
+    four-group, the identity and the three fixed-point-free involutions of
+    four points.
+    """
+    if n == 2:
+        elems = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    else:
+        gens = [tuple((i + 1) % n for i in range(n)), tuple(-i % n for i in range(n))]
+        elems = [tuple(range(n))]
+        seen = set(elems)
+        for a in elems:
+            for g in gens:
+                b = tuple(g[i] for i in a)
+                if b not in seen:
+                    seen.add(b)
+                    elems.append(b)
+    counts = Counter(perm_order(p) for p in elems)
     return tuple(sorted(counts.items()))
 
 

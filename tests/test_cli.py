@@ -355,11 +355,12 @@ def test_exact_dedupe_classes_are_the_equivalence_partition(capsys, spec, n_clas
     # reference: a pairwise maps_equivalent search among each fingerprint's
     # rows, numbering its classes in row order
     ring = ring_make(spec)
+    names = [str(u) for u in ring.elements()]
     buckets: dict[str, list] = {}  # fingerprint -> [(model, dart key, class)]
     expected: dict[str, dict] = {}
     for x in ring.elements():
         for y in ring.elements():
-            row, key = _scan_row(FactTable(ring), x, y, CLOSURE_CAP_DEFAULT, True)
+            row, key = _scan_row(FactTable(ring), names, x, y, CLOSURE_CAP_DEFAULT, True)
             model = dart_model(run_pipeline(PolyhedronParams(x, y))[0])
             bucket = buckets.setdefault(row["fingerprint"], [])
             match = [entry for entry in bucket if maps_equivalent(model, entry[0])]
@@ -451,9 +452,9 @@ def test_scan_answers_each_frobenius_orbit_once(capsys, monkeypatch, spec, calls
     # into orbits of sizes dividing k; over a prime field every orbit is one pair
     answered = []
 
-    def counted(facts, x, y, cap, exact):
+    def counted(facts, names, x, y, cap, exact):
         answered.append((x, y))
-        return _scan_row(facts, x, y, cap, exact)
+        return _scan_row(facts, names, x, y, cap, exact)
     monkeypatch.setattr(cli, "_scan_row", counted)
     code, _, _ = run(capsys, "scan", "--ring", spec, "--exact-dedupe")
     assert code == 0
@@ -481,10 +482,11 @@ def _reference_scan(spec: str, cap: int, exact: bool) -> tuple[list, list]:
     Each row gets a fresh ``FactTable``, so no fact of one row reaches another.
     """
     ring = ring_make(spec)
+    names = [str(u) for u in ring.elements()]
     rows, classes, numbers = [], {}, {}
     for x in ring.elements():
         for y in ring.elements():
-            row, darts = _scan_row(FactTable(ring), x, y, cap, exact)
+            row, darts = _scan_row(FactTable(ring), names, x, y, cap, exact)
             rows.append(row)
             if row["cap_exceeded"]:
                 continue

@@ -31,6 +31,11 @@ The gf:2^4 exact scan (``scan-gf16-json-exact``, captured while its rows
 still walked) pins the characteristic-2 closed form: one class per D_p,
 including D17, whose rows have two Frobenius orbits of traces, and the two
 C2 kinds (rho_e or rho_f the identity) as ``#0`` and ``#1``.
+Two scans pin closed-form rows stopped by ``--cap`` over a field, both
+exit 4: ``scan-gf5-cap20-json`` caps 23 of its 25 rows, across the det B = 0
+rows (the shared T : H cap check), the PGL(2, 5) rows (the PSL/PGL check,
+before any factorization) and the walked S4 rows; ``scan-gf8-cap7-csv``
+caps its 42 D7 and D9 rows, characteristic 2 through the same T : H check.
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -86,6 +91,8 @@ CASES = {
     "scan-zmod4-cap1-json": ["scan", "--ring", "zmod:4", "--cap", "1", "--format", "json"],
     "scan-gf9-json-exact": ["scan", "--ring", "gf:3^2", "--format", "json", "--exact-dedupe"],
     "analyze-gf49-x-t-y-t1": ["analyze", "--ring", "gf:7^2:t^2+2", "--x", "t", "--y", "t+1"],
+    "scan-gf5-cap20-json": ["scan", "--ring", "gf:5", "--cap", "20", "--format", "json"],
+    "scan-gf8-cap7-csv": ["scan", "--ring", "gf:2^3", "--cap", "7", "--format", "csv"],
 }
 
 

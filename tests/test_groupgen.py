@@ -43,6 +43,7 @@ from oracles import (
     closure_elements,
     closure_mod,
     closure_spectrum,
+    dihedral_perm_spectrum,
     reference_fingerprint,
     rotations_mod,
     symmetric_spectrum,
@@ -72,7 +73,7 @@ def test_single_identity_generator():
     group = generate([Mat3.identity(ZMod(5))])
     assert group.order == 1
     fp = order_spectrum(group)
-    assert fp == GroupFingerprint(1, ((1, 1),), True, 1)
+    assert fp == GroupFingerprint(1, ((1, 1),), 1)
     assert recognize(fp) == "C1"
 
 
@@ -100,17 +101,23 @@ def test_recognition_table_matches_permutation_oracle():
 
 
 def test_recognize_named_fingerprints():
-    assert recognize(GroupFingerprint(60, ((1, 1), (2, 15), (3, 20), (5, 24)), False, 1)) == "A5"
-    assert recognize(GroupFingerprint(6, ((1, 1), (2, 3), (3, 2)), False, 1)) == "S3"
-    assert recognize(GroupFingerprint(24, ((1, 1), (2, 9), (3, 8), (4, 6)), False, 1)) == "S4"
+    assert recognize(GroupFingerprint(60, ((1, 1), (2, 15), (3, 20), (5, 24)), 1)) == "A5"
+    assert recognize(GroupFingerprint(6, ((1, 1), (2, 3), (3, 2)), 1)) == "S3"
+    assert recognize(GroupFingerprint(24, ((1, 1), (2, 9), (3, 8), (4, 6)), 1)) == "S4"
 
 
 def test_recognize_cyclic_and_dihedral():
-    assert recognize(GroupFingerprint(6, ((1, 1), (2, 1), (3, 2), (6, 2)), True, 6)) == "C6"
-    assert recognize(GroupFingerprint(8, dihedral_spectrum(4), False, 2)) == "D4"
-    assert recognize(GroupFingerprint(4, dihedral_spectrum(2), True, 4)) == "D2"
+    assert recognize(GroupFingerprint(6, ((1, 1), (2, 1), (3, 2), (6, 2)), 6)) == "C6"
+    assert recognize(GroupFingerprint(8, dihedral_spectrum(4), 2)) == "D4"
+    assert recognize(GroupFingerprint(4, dihedral_spectrum(2), 4)) == "D2"
     # order 8 with maximal element order 2 but wrong profile
-    assert recognize(GroupFingerprint(8, ((1, 1), (2, 7)), True, 8)) == "unrecognized"
+    assert recognize(GroupFingerprint(8, ((1, 1), (2, 7)), 8)) == "unrecognized"
+
+
+def test_dihedral_spectrum_matches_enumeration():
+    # D_n closed from i -> i + 1 and i -> -i on Z/n, and D_2 as the Klein four-group
+    for n in range(2, 41):
+        assert dihedral_spectrum(n) == dihedral_perm_spectrum(n), n
 
 
 def test_recognize_cyclic_from_matrix_group():

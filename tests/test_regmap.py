@@ -129,10 +129,10 @@ def test_trivial_parameters_degenerate():
 
 def test_counts_with_no_closed_surface_raise():
     # only rho_e or rho_f = I can make a map degenerate; other bad counts are a bug upstream
-    d15 = GroupFingerprint(30, dihedral_spectrum(15), False, 1)
+    d15 = GroupFingerprint(30, dihedral_spectrum(15), 1)
     with pytest.raises(InvariantViolation, match="no closed surface"):
         _map_report(30, 4, 2, 3, d15)  # p = 4 does not divide |G| = 30
-    s3 = GroupFingerprint(6, ((1, 1), (2, 3), (3, 2)), False, 1)
+    s3 = GroupFingerprint(6, ((1, 1), (2, 3), (3, 2)), 1)
     with pytest.raises(InvariantViolation, match="no closed surface"):
         _map_report(6, 3, 2, 3, s3)  # V = F = 2, E = 3: 2g = 1
 
