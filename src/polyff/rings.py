@@ -38,8 +38,12 @@ Ring specification grammar (used by :func:`ring_make` and the CLI)::
 
 where ``<poly>`` is written like ``t^2+t+1``.  Element printing is the
 canonical residue for ZMod and a polynomial in t with descending powers
-for GaloisField; ``parse_elem`` accepts the same syntax (signs allowed,
-reduced to canonical form).
+for GaloisField.  ``parse_elem`` reads one literal grammar in every ring:
+terms joined by ``+`` or ``-`` (the first may carry a sign too), each an
+integer c, ``t``, ``t^e`` or ``ct^e``, with whitespace anywhere ignored.
+t exists only in GF(p^k) with k >= 2; over Z/nZ and GF(p) a term in t,
+``t^0`` included, is refused.  The terms are summed in the ring's own
+arithmetic, so coefficients and exponents of any size are reduced there.
 
 :class:`QuadRational` holds exact values (a + b*sqrt5)/c in lowest terms;
 sqrt5 is the only irrationality needed by the built-in polyhedron catalog.
@@ -260,38 +264,29 @@ def _poly_str(coeffs: Sequence[int]) -> str:
     return "+".join(terms) if terms else "0"
 
 
-_TERM_RE = re.compile(r"^(\d+)?(t(?:\^(\d+))?)?$")
+# one term: a sign (optional on the first term), then an integer, t, t^e or ct^e
+_TERM_RE = re.compile(r"([+-]?)(\d*)(t(?:\^(\d+))?)?")
 
 
-def _poly_parse(text: str, p: int) -> list[int]:
-    """Parse 't^2+3t+1' style text into an ascending coefficient list mod p."""
-    s = text.replace(" ", "")
-    if not s:
-        raise RingSpecError("empty polynomial")
-    # split into signed terms
-    pieces = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(pieces) != s:
-        raise RingSpecError(f"cannot parse polynomial {text!r}")
-    coeffs: dict[int, int] = {}
-    for piece in pieces:
-        sign = 1
-        body = piece
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        m = _TERM_RE.match(body)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise RingSpecError(f"bad term {piece!r} in polynomial {text!r}")
-        coeff = int(m.group(1)) if m.group(1) is not None else 1
-        if m.group(2) is None:
-            exp = 0
-        else:
-            exp = int(m.group(3)) if m.group(3) is not None else 1
-        coeffs[exp] = (coeffs.get(exp, 0) + sign * coeff) % p
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return out
+def _terms(text: str) -> list[tuple[int, int]] | None:
+    """(signed coefficient, exponent of t) of each term of text, or None if malformed.
+
+    Whitespace anywhere is ignored; a term with no t has exponent 0.
+    """
+    s = "".join(text.split())
+    terms, pos = [], 0
+    try:
+        while pos < len(s) or not terms:
+            m = _TERM_RE.match(s, pos)
+            sign, coeff, var, exp = m.groups()
+            if not (coeff or var) or (terms and not sign):
+                return None
+            c = int(coeff) if coeff else 1
+            terms.append((-c if sign == "-" else c, int(exp) if exp else 1 if var else 0))
+            pos = m.end()
+    except ValueError:  # an integer past int()'s digit limit
+        return None
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +298,20 @@ class Ring:
     Elements are int codes in [0, cardinality), numbered as described in the
     module docstring; user-facing values are :class:`RingElem` wrappers.
     Each concrete ring defines the code operations ``_add``, ``_sub``,
-    ``_mul``, ``_neg``, ``_inv``, ``_is_unit``, ``_from_int``, ``_fmt`` and
-    ``_parse``, the ``is_field`` property, ``spec_string``, and ``_rows_mul``,
+    ``_mul``, ``_neg``, ``_inv``, ``_is_unit``, ``_from_int`` and ``_fmt``,
+    the ``is_field`` property, ``spec_string``, and ``_rows_mul``,
     the product kernel: ``_rows_mul(rows, b)`` is the list of the products
     of each row vector in ``rows`` (a three-code tuple) with the 3x3 matrix
     ``b`` (a row-major nine-code tuple).  The base class supplies ``_pow``
-    from ``_mul``.  Instances are hashable and immutable after
-    construction, so threads can share them.
+    from ``_mul``, and ``_parse`` from those operations and ``_t``.
+    Instances are hashable and immutable after construction, so threads
+    can share them.
     """
 
     modulus: int
     cardinality: int
+    # the code of t in GF(p^k), k >= 2; the other rings have no t
+    _t: int | None = None
 
     @property
     def zero(self) -> RingElem:
@@ -346,6 +344,19 @@ class Ring:
 
     def parse_elem(self, text: str) -> RingElem:
         return RingElem(self, self._parse(text))
+
+    def _parse(self, text: str) -> int:
+        """Code of a literal (module docstring): its terms summed in this ring."""
+        terms = _terms(text)
+        if terms is None or (self._t is None and "t" in text):
+            raise RingSpecError(f"bad element literal {text!r} for {self}")
+        u = self._from_int(0)
+        for c, e in terms:
+            term = self._from_int(c)
+            if e:
+                term = self._mul(term, self._pow(self._t, e))
+            u = self._add(u, term)
+        return u
 
     def _pow(self, u: int, n: int) -> int:
         """u^n on codes, n >= 0, by square and multiply."""
@@ -419,12 +430,6 @@ class ZMod(_Residues):
     def __hash__(self) -> int:
         return hash(("zmod", self.modulus))
 
-    def _parse(self, text):
-        try:
-            return int(text.strip()) % self.modulus
-        except ValueError:
-            raise RingSpecError(f"bad element literal {text!r} for {self}") from None
-
     def spec_string(self) -> str:
         return f"zmod:{self.modulus}"
 
@@ -488,21 +493,6 @@ class GaloisField(_Residues):
         # rebuild through the constructor, which picks the class from k
         return GaloisField, (self.modulus, self.degree, self.ext_poly)
 
-    def _encode(self, coeffs: Sequence[int]) -> int:
-        """Code of sum(coeffs[i] * t^i), for at most k coefficients of any size."""
-        p = self.modulus
-        u = 0
-        for c in coeffs:
-            u = u * p + c % p
-        return u * p ** (self.degree - len(coeffs))
-
-    def _parse(self, text):
-        coeffs = _poly_parse(text, self.modulus)
-        if len(coeffs) > self.degree:
-            # reduce higher powers by the extension polynomial
-            coeffs = _poly_mod(tuple(coeffs), self.ext_poly, self.modulus)
-        return self._encode(coeffs)
-
     def spec_string(self) -> str:
         if self.degree == 1:
             return f"gf:{self.modulus}"
@@ -530,6 +520,15 @@ class _ExtensionField(GaloisField):
         # t^k == sum(_reduction[j] * t^j): folds products back to degree < k
         self._reduction = tuple(-c % p for c in self.ext_poly[:k])
         self._shift = (3 * k * (p - 1) ** 2).bit_length()
+        self._t = self._encode([0, 1])
+
+    def _encode(self, coeffs: Sequence[int]) -> int:
+        """Code of sum(coeffs[i] * t^i), for at most k coefficients of any size."""
+        p = self.modulus
+        u = 0
+        for c in coeffs:
+            u = u * p + c % p
+        return u * p ** (self.degree - len(coeffs))
 
     def _decode(self, u: int) -> list[int]:
         """Coefficients of the element with code u, ascending powers."""
@@ -853,17 +852,21 @@ def ring_make(spec: str) -> Ring:
             raise RingSpecError(f"bad zmod modulus {body!r}") from None
         return ZMod(n)
     m = _SPEC_RE.match(s)
-    if m:
-        p = int(m.group(1))
-        k = int(m.group(2)) if m.group(2) else 1
-        poly_text = m.group(3)
-        if poly_text is None:
-            return GaloisField(p, k)
-        if not is_prime(p):
-            raise NonPrimeCharacteristic(f"gf characteristic must be prime, got {p}")
-        coeffs = _poly_parse(poly_text, p)
-        return GaloisField(p, k, tuple(coeffs))
-    raise RingSpecError(f"cannot parse ring spec {spec!r}")
+    if not m:
+        raise RingSpecError(f"cannot parse ring spec {spec!r}")
+    p, k, poly_text = int(m.group(1)), int(m.group(2) or 1), m.group(3)
+    if poly_text is None or k > MAX_EXTENSION_DEGREE:
+        # a degree past the cap is refused by the constructor, before k + 1 coefficients
+        return GaloisField(p, k)
+    terms = _terms(poly_text)
+    if terms is None:
+        raise RingSpecError(f"cannot parse polynomial {poly_text!r}")
+    coeffs = [0] * (k + 1)
+    for c, e in terms:
+        if e > k:
+            raise RingSpecError(f"extension polynomial must be monic of degree {k}: {poly_text}")
+        coeffs[e] += c
+    return GaloisField(p, k, tuple(coeffs))
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:

@@ -100,6 +100,34 @@ def test_analyze_gf_element_literals(capsys):
     assert report["group_order"] >= 1
 
 
+@pytest.mark.parametrize("ring", ["gf:3", "zmod:3"])
+@pytest.mark.parametrize("x", ["t", "t^0", "2t+1"])
+def test_terms_in_t_exit_2_without_a_t(capsys, ring, x):
+    code, out, err = run(capsys, "analyze", "--ring", ring, "--x", x, "--y", "0")
+    assert (code, out) == (2, "")
+    assert f"bad element literal '{x}' for {ring}" in err
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_zmod_and_gf_prime_field_read_sums_alike(capsys, p):
+    reports = []
+    for ring in (f"zmod:{p}", f"gf:{p}"):
+        code, out, _ = run(capsys, "analyze", "--ring", ring, "--x", "2+3", "--y=-1+8")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0].pop("ring") == f"zmod:{p}" and reports[1].pop("ring") == f"gf:{p}"
+    assert reports[0] == reports[1]
+    assert (reports[0]["x"], reports[0]["y"]) == (str(5 % p), str(7 % p))
+
+
+def test_spec_exponent_past_the_degree_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "analyze", "--ring", "gf:3^2:t^100000000000+1",
+                       "--x", "0", "--y", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "must be monic of degree 2" in err
+
+
 def test_analyze_cap_exceeded_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "--ring", "gf:5", "--x", "0", "--y", "0",
                        "--cap", "10")

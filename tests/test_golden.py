@@ -36,6 +36,13 @@ exit 4: ``scan-gf5-cap20-json`` caps 23 of its 25 rows, across the det B = 0
 rows (the shared T : H cap check), the PGL(2, 5) rows (the PSL/PGL check,
 before any factorization) and the walked S4 rows; ``scan-gf8-cap7-csv``
 caps its 42 D7 and D9 rows, characteristic 2 through the same T : H check.
+Three cases pin the literal reader.  ``analyze-gf343-unreduced-literals-text``
+reads ``3t^4+t+1`` and ``-t^2+5`` over the Kronecker field gf:7^3, a power
+above k folded by the extension polynomial and a negative term, and
+``analyze-zmod12-signed-literals-text`` reads the signed Z/nZ literals ``-1``
+and ``+5``; both were captured before the one reader replaced the two per-ring
+parsers.  ``analyze-gf3-t-refused`` pins the refusal of ``t`` over GF(p),
+which has no t (exit 2).
 
 To recapture after a deliberate output change, run from the repo root::
 
@@ -93,6 +100,12 @@ CASES = {
     "analyze-gf49-x-t-y-t1": ["analyze", "--ring", "gf:7^2:t^2+2", "--x", "t", "--y", "t+1"],
     "scan-gf5-cap20-json": ["scan", "--ring", "gf:5", "--cap", "20", "--format", "json"],
     "scan-gf8-cap7-csv": ["scan", "--ring", "gf:2^3", "--cap", "7", "--format", "csv"],
+    "analyze-gf343-unreduced-literals-text": ["analyze", "--ring", "gf:7^3", "--x", "3t^4+t+1",
+                                              "--y=-t^2+5", "--cap", "100000000000",
+                                              "--format", "text"],
+    "analyze-zmod12-signed-literals-text": ["analyze", "--ring", "zmod:12", "--x", "-1",
+                                            "--y", "+5", "--format", "text"],
+    "analyze-gf3-t-refused": ["analyze", "--ring", "gf:3", "--x", "t", "--y", "0"],
 }
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -122,12 +123,25 @@ def test_ring_make_explicit_poly():
     ("gf:2^2:t^2+1", ReduciblePolynomial),  # (t+1)^2 over F_2
     ("gf:3^4:t^4+2t^2+1", ReduciblePolynomial),  # (t^2+1)^2 over F_3: no root
     ("gf:2^2:t+1", RingSpecError),  # degree mismatch
+    ("gf:2^2:t^3+t^2+1", RingSpecError),  # an exponent above k
+    ("gf:3^2:t^2+", RingSpecError),
+    ("gf:3^5:t^5+t+1", UnsupportedRing),
     ("nonsense", RingSpecError),
     ("zmod:x", RingSpecError),
 ])
 def test_ring_make_rejects(spec, exc):
     with pytest.raises(exc):
         ring_make(spec)
+
+
+def test_spec_polynomial_past_the_degree_is_refused_at_once():
+    # the coefficient list is sized by k, never by an exponent read from the text
+    start = time.perf_counter()
+    with pytest.raises(RingSpecError, match="must be monic of degree 2"):
+        ring_make("gf:3^2:t^100000000000+1")
+    with pytest.raises(UnsupportedRing):
+        ring_make("gf:3^100000000000:t^100000000000+1")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_prime_matches_trial_division():
@@ -291,6 +305,84 @@ def test_parse_format_round_trip(data):
     ring = data.draw(st.sampled_from(RINGS))
     elem = data.draw(st.sampled_from(_ELEMENTS[ring.spec_string()]))
     assert ring.parse_elem(str(elem)) == elem
+
+
+@pytest.mark.parametrize("spec", ["zmod:12", "gf:7", "gf:2^3", "gf:3^3", "gf:7^2", "gf:5^3"])
+def test_every_element_reads_back_from_its_text(spec):
+    ring = ring_make(spec)
+    for elem in ring.elements():
+        assert ring.parse_elem(str(elem)) == elem
+
+
+def _literal_text(rng: random.Random, k: int) -> tuple[str, list[tuple[int, int]]]:
+    """A seeded literal of signed terms, with its (coefficient, exponent) pairs."""
+    text, terms = "", []
+    for i in range(rng.randint(1, 5)):
+        c, e = rng.randint(0, 10**6), rng.randint(0, 4 * k)
+        body, c, e = rng.choice([(str(c), c, 0), ("t", 1, 1), (f"t^{e}", 1, e),
+                                 (f"{c}t^{e}", c, e)])
+        sign = rng.choice(["+", "-"] if i else ["", "+", "-"])
+        text += sign + rng.choice(["", " "]) + body + rng.choice(["", " "])
+        terms.append((-c if sign == "-" else c, e))
+    return text, terms
+
+
+@pytest.mark.parametrize("spec", ["gf:2^3", "gf:3^3", "gf:2^4", "gf:7^2", "gf:5^3"])
+def test_literals_match_the_tuple_oracle_term_by_term(spec):
+    # unreduced coefficients and powers of t up to 4k, folded by the extension polynomial
+    ring = ring_make(spec)
+    p, k = ring.modulus, ring.degree
+    oracle = TupleField(p, ring.ext_poly)
+    zero, t = (0,) * k, (0, 1) + (0,) * (k - 2)
+    rng = random.Random(spec)
+    for _ in range(200):
+        text, terms = _literal_text(rng, k)
+        want = zero
+        for c, e in terms:
+            term = (c % p,) + (0,) * (k - 1)
+            for _ in range(e):
+                term = oracle.mul(term, t)
+            want = oracle.add(want, term)
+        assert ring.parse_elem(text).val == oracle.to_code(want), text
+
+
+@pytest.mark.parametrize("spec", ["gf:3^2:t^2+1", "gf:7^3"])
+def test_huge_powers_of_t_are_reduced_in_the_field(spec):
+    ring = ring_make(spec)
+    t = ring.parse_elem("t")
+    start = time.perf_counter()
+    power = ring.parse_elem("t^1000000000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert power.val == ring._pow(t.val, 10**18)
+    if spec == "gf:3^2:t^2+1":  # t^2 = -1, so t has order 4
+        assert power == ring.one
+
+
+@pytest.mark.parametrize("spec", ["gf:3", "zmod:3", "zmod:12"])
+def test_rings_without_t_read_signed_integer_sums(spec):
+    ring = ring_make(spec)
+    assert ring.parse_elem("2+3") == ring.from_int(5)
+    assert ring.parse_elem("-1+8") == ring.from_int(7)
+    assert ring.parse_elem(" - 1 0 ") == ring.from_int(-10)
+    assert ring.parse_elem("+" + "9" * 100) == ring.from_int(10**100 - 1)
+
+
+@pytest.mark.parametrize("spec", ["gf:3", "zmod:3", "gf:3^2"])
+@pytest.mark.parametrize("text", ["", " ", "+", "2+", "--1", "2t3", "t^", "t^-1", "x", "1_0",
+                                  "0x1", "1.0", pytest.param("1" * 5000, id="5000-digits")])
+def test_malformed_literals_get_one_message(spec, text):
+    ring = ring_make(spec)
+    message = f"bad element literal {text!r} for {ring}"
+    with pytest.raises(RingSpecError, match=f"^{re.escape(message)}$"):
+        ring.parse_elem(text)
+
+
+@pytest.mark.parametrize("spec", ["gf:3", "zmod:3"])
+@pytest.mark.parametrize("text", ["t", "t^0", "2t+1"])
+def test_rings_without_t_refuse_terms_in_t(spec, text):
+    message = f"bad element literal '{text}' for {spec}"
+    with pytest.raises(RingSpecError, match=f"^{re.escape(message)}$"):
+        ring_make(spec).parse_elem(text)
 
 
 @settings(max_examples=100)
